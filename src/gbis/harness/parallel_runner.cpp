@@ -1,9 +1,9 @@
 #include "gbis/harness/parallel_runner.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <thread>
 
@@ -13,7 +13,6 @@
 #include "gbis/obs/progress.hpp"
 #include "gbis/obs/trace_export.hpp"
 #include "gbis/rng/splitmix.hpp"
-#include "gbis/util/deadline.hpp"
 
 namespace gbis {
 
@@ -49,6 +48,78 @@ const char* trial_status_cell(TrialStatus status) {
     case TrialStatus::kSkipped: return "skip";
   }
   return "?";
+}
+
+TrialResult run_trial(const Graph& g, Method method, std::uint64_t seed,
+                      std::uint64_t trial_id, const RunConfig& config,
+                      const TrialContext& context, bool keep_sides) {
+  RunConfig local = config;
+  local.metrics = context.sink;
+  local.kl.metrics = context.sink;
+  local.sa.metrics = context.sink;
+  local.fm.metrics = context.sink;
+  local.path.metrics = context.sink;
+  local.compaction.metrics = context.sink;
+  local.multilevel.metrics = context.sink;
+  local.kl.deadline = context.deadline;
+  local.sa.deadline = context.deadline;
+  local.fm.deadline = context.deadline;
+  local.path.deadline = context.deadline;
+  TrialResult out;
+  const CpuTimer timer;
+  try {
+    maybe_inject_fault(context.faults, trial_id, context.deadline);
+    Rng rng(splitmix64_at(seed, trial_id));
+    const Bisection b = run_one_start(g, method, rng, local);
+    out.cut = b.cut();
+    if (keep_sides) out.sides.assign(b.sides().begin(), b.sides().end());
+  } catch (...) {
+    out = failed_trial(std::current_exception());
+  }
+  out.cpu_seconds = timer.elapsed_seconds();
+  return out;
+}
+
+TrialResult failed_trial(std::exception_ptr error) {
+  TrialResult out;
+  out.status = TrialStatus::kFailed;
+  try {
+    std::rethrow_exception(error);
+  } catch (const DeadlineExceeded& e) {
+    out.status = TrialStatus::kTimedOut;
+    out.error = e.what();
+  } catch (const std::bad_alloc& e) {
+    out.error = e.what();
+    out.oom = true;
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  } catch (...) {
+    out.error = "unknown exception";
+  }
+  return out;
+}
+
+void fold_trial(MethodOutcome& cell, std::uint32_t start,
+                const TrialResult& trial, bool keep_sides) {
+  cell.cpu_seconds += trial.cpu_seconds;
+  cell.trial_seconds.push_back(trial.cpu_seconds);
+  switch (trial.status) {
+    case TrialStatus::kOk:
+      if (cell.ok++ == 0 || trial.cut < cell.best_cut) {
+        cell.best_cut = trial.cut;
+        cell.best_start = start;
+        if (keep_sides) cell.best_sides = trial.sides;
+      }
+      break;
+    case TrialStatus::kFailed: ++cell.failed; break;
+    case TrialStatus::kTimedOut: ++cell.timed_out; break;
+    case TrialStatus::kSkipped: ++cell.skipped; break;
+  }
+  if (cell.first_error.empty()) cell.first_error = trial.error;
+  cell.status = cell.ok > 0          ? TrialStatus::kOk
+                : cell.failed > 0    ? TrialStatus::kFailed
+                : cell.timed_out > 0 ? TrialStatus::kTimedOut
+                                     : TrialStatus::kSkipped;
 }
 
 std::vector<TrialResult> run_trials_ex(std::span<const Graph> graphs,
@@ -109,20 +180,17 @@ std::vector<TrialResult> run_trials_ex(std::span<const Graph> graphs,
           if (progress != nullptr) progress->record(ProgressOutcome::kSkipped);
           return;
         }
-        const Deadline deadline = config.trial_deadline > 0
-                                      ? Deadline::after(config.trial_deadline)
-                                      : Deadline();
-        // Bind the recording sink before anything can throw, so failed
+        TrialContext context;
+        context.deadline = config.trial_deadline > 0
+                               ? Deadline::after(config.trial_deadline)
+                               : Deadline();
+        context.faults = options.faults;
+        // Bind the recording sink before the trial starts, so failed
         // and timed-out trials still carry their partial metrics and a
         // Chrome-trace span. Counters/hists/trace points depend only on
         // (seed, i); the lane id and epoch offset are wall-clock data.
         std::shared_ptr<TrialMetrics> tm;
         MetricsSink sink;
-        RunConfig local = config;
-        local.kl.deadline = deadline;
-        local.sa.deadline = deadline;
-        local.fm.deadline = deadline;
-        local.path.deadline = deadline;
         if (collect) {
           tm = std::make_shared<TrialMetrics>();
           tm->start_offset_seconds = epoch.elapsed_seconds();
@@ -134,35 +202,10 @@ std::vector<TrialResult> run_trials_ex(std::span<const Graph> graphs,
                     .first->second);
           }
           sink = MetricsSink(tm.get(), config.obs.trace_capacity);
-          local.metrics = &sink;
-          local.kl.metrics = &sink;
-          local.sa.metrics = &sink;
-          local.fm.metrics = &sink;
-          local.compaction.metrics = &sink;
-          local.multilevel.metrics = &sink;
+          context.sink = &sink;
         }
-        const CpuTimer timer;
-        try {
-          maybe_inject_fault(options.faults, i, deadline);
-          Rng rng(splitmix64_at(seed, static_cast<std::uint64_t>(i)));
-          const Bisection b =
-              run_one_start(graphs[spec.graph_index], spec.method, rng, local);
-          out.cut = b.cut();
-          out.status = TrialStatus::kOk;
-          if (options.keep_sides) {
-            out.sides.assign(b.sides().begin(), b.sides().end());
-          }
-        } catch (const DeadlineExceeded& error) {
-          out.status = TrialStatus::kTimedOut;
-          out.error = error.what();
-        } catch (const std::exception& error) {
-          out.status = TrialStatus::kFailed;
-          out.error = error.what();
-        } catch (...) {
-          out.status = TrialStatus::kFailed;
-          out.error = "unknown exception";
-        }
-        out.cpu_seconds = timer.elapsed_seconds();
+        out = run_trial(graphs[spec.graph_index], spec.method, seed, i,
+                        config, context, options.keep_sides);
         if (tm != nullptr) {
           tm->wall_seconds = sink.elapsed_seconds();
           out.metrics = std::move(tm);
@@ -225,42 +268,10 @@ std::vector<MethodOutcome> reduce_trial_matrix(
     std::uint32_t starts, bool keep_sides) {
   std::vector<MethodOutcome> outcomes(num_cells);
   std::size_t t = 0;
-  for (std::size_t cell = 0; cell < num_cells; ++cell) {
-    MethodOutcome& out = outcomes[cell];
-    out.best_cut = std::numeric_limits<Weight>::max();
-    out.trial_seconds.reserve(starts);
-    for (std::uint32_t s = 0; s < starts; ++s, ++t) {
-      const TrialResult& trial = raw[t];
-      out.cpu_seconds += trial.cpu_seconds;
-      out.trial_seconds.push_back(trial.cpu_seconds);
-      switch (trial.status) {
-        case TrialStatus::kOk:
-          ++out.ok;
-          if (trial.cut < out.best_cut) {
-            out.best_cut = trial.cut;
-            out.best_start = s;
-            if (keep_sides) out.best_sides = trial.sides;
-          }
-          break;
-        case TrialStatus::kFailed: ++out.failed; break;
-        case TrialStatus::kTimedOut: ++out.timed_out; break;
-        case TrialStatus::kSkipped: ++out.skipped; break;
-      }
-      if (out.first_error.empty() && !trial.error.empty()) {
-        out.first_error = trial.error;
-      }
-    }
-    if (out.ok > 0) {
-      out.status = TrialStatus::kOk;
-    } else {
-      out.best_cut = 0;  // no valid cut; callers must consult status
-      if (out.failed > 0) {
-        out.status = TrialStatus::kFailed;
-      } else if (out.timed_out > 0) {
-        out.status = TrialStatus::kTimedOut;
-      } else {
-        out.status = TrialStatus::kSkipped;
-      }
+  for (MethodOutcome& cell : outcomes) {
+    cell.trial_seconds.reserve(starts);
+    for (std::uint32_t s = 0; s < starts; ++s) {
+      fold_trial(cell, s, raw[t++], keep_sides);
     }
   }
   return outcomes;

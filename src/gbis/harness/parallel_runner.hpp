@@ -6,6 +6,12 @@
 // shared driver stream, which makes every cut bit-identical for any
 // thread count (including 1) at a fixed seed.
 //
+// One trial path: run_trial below is the only trial body. Campaign
+// batches (run_trials_ex) and the service's budgeted policy
+// (svc/policy) both call it, and both reduce their trials with
+// fold_trial, so a campaign cell and a service request answer the same
+// trials identically.
+//
 // Fault isolation: a trial is a unit of failure as well as a unit of
 // work. An exception marks that one trial `failed`, a trial-deadline
 // overrun marks it `timed_out`, and a shutdown request drains the
@@ -22,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "gbis/harness/runner.hpp"
+#include "gbis/util/deadline.hpp"
 
 namespace gbis {
 
@@ -64,6 +72,7 @@ struct TrialResult {
   Weight cut = 0;          ///< valid only when status == kOk
   double cpu_seconds = 0;  ///< thread-CPU seconds spent in the trial
   std::string error;       ///< what() text for failed/timed-out trials
+  bool oom = false;        ///< the failure was a std::bad_alloc
   std::vector<std::uint8_t> sides;  ///< filled only when keep_sides & ok
   /// Per-trial observability record; non-null only when
   /// RunConfig::obs.enabled() — filled for every *executed* trial
@@ -95,26 +104,57 @@ struct TrialRunOptions {
       nullptr;
 };
 
-/// Aggregate of all starts of one (graph, method) cell, reduced in
-/// start order (ties keep the earliest start, matching the serial
-/// harness). A cell is `ok` when at least one start is; otherwise its
-/// status is the dominant failure (all-timeouts -> kTimedOut, any
-/// failure -> kFailed, nothing ran -> kSkipped) and best_cut is
-/// meaningless.
+/// Aggregate of all starts of one (graph, method) cell, folded in start
+/// order by fold_trial (ties keep the earliest start, matching the
+/// serial harness). A cell is `ok` when at least one start is;
+/// otherwise its status is the dominant failure (any failure ->
+/// kFailed, else any timeout -> kTimedOut, nothing ran -> kSkipped)
+/// and best_cut is meaningless.
 struct MethodOutcome {
   Weight best_cut = 0;
   double cpu_seconds = 0;  ///< summed over executed starts (paper protocol)
   std::vector<double> trial_seconds;  ///< per-start CPU seconds
   std::uint32_t best_start = 0;       ///< index of the winning start
   std::vector<std::uint8_t> best_sides;  ///< winning sides (keep_sides)
-  TrialStatus status = TrialStatus::kOk;  ///< cell-level verdict
+  TrialStatus status = TrialStatus::kSkipped;  ///< cell-level verdict
   std::uint32_t ok = 0, failed = 0, timed_out = 0, skipped = 0;
   std::string first_error;  ///< first failure text, in start order
 };
 
+/// What a fan-out hands each trial besides its identity: the deadline
+/// its step loops poll, the sink it records into (null: not recorded),
+/// and the campaign fault plan (null: none).
+struct TrialContext {
+  Deadline deadline;
+  MetricsSink* sink = nullptr;
+  const FaultPlan* faults = nullptr;
+};
+
+/// Runs trial `trial_id` of `method` on g: seeds its Rng with
+/// splitmix64_at(seed, trial_id), binds the context's deadline and sink
+/// into RunConfig::metrics and every solver's option struct, fires the
+/// fault hook, and times the trial in thread-CPU seconds. Never throws:
+/// an exception becomes the trial's status (failed_trial). Sides are
+/// kept for an ok trial when `keep_sides`.
+TrialResult run_trial(const Graph& g, Method method, std::uint64_t seed,
+                      std::uint64_t trial_id, const RunConfig& config,
+                      const TrialContext& context, bool keep_sides);
+
+/// The exception-to-status mapping: DeadlineExceeded -> kTimedOut,
+/// anything else -> kFailed (std::bad_alloc also sets `oom`), with the
+/// what() text in `error`.
+TrialResult failed_trial(std::exception_ptr error);
+
+/// Folds trial `start` of one cell into `cell`, in start order: tallies
+/// its status, sums its CPU seconds, keeps the first error text, takes
+/// its cut when it is the first ok start or strictly beats the best so
+/// far, and updates the verdict.
+void fold_trial(MethodOutcome& cell, std::uint32_t start,
+                const TrialResult& trial, bool keep_sides);
+
 /// Runs every trial on `threads` workers (0 = hardware concurrency) and
-/// returns results indexed exactly like `trials`. Trial `t` uses an Rng
-/// seeded with splitmix64_at(seed, t). Trials are fault-isolated: an
+/// returns results indexed exactly like `trials`; trial `t` runs as
+/// run_trial(..., seed, t, ...). Trials are fault-isolated: an
 /// exception or deadline overrun degrades that trial's status, it never
 /// throws out of this call (only spec validation does, plus IoError
 /// when a configured RunConfig::obs export destination is unwritable).
@@ -144,7 +184,7 @@ std::vector<TrialSpec> enumerate_trial_matrix(std::size_t num_graphs,
                                               std::uint32_t starts);
 
 /// Reduces a dense trial-matrix result vector (cells × starts, in
-/// enumeration order) into per-cell outcomes.
+/// enumeration order) into per-cell outcomes with fold_trial.
 std::vector<MethodOutcome> reduce_trial_matrix(
     std::span<const TrialResult> raw, std::size_t num_cells,
     std::uint32_t starts, bool keep_sides = false);

@@ -86,9 +86,7 @@ Bisection run_one_start(const Graph& g, Method method, Rng& rng,
       Bisection b = Bisection::random(g, rng);
       if (sink != nullptr) sink->end_phase(Phase::kGen);
       const ScopedPhase refine(sink, Phase::kRefine);
-      PathOptOptions path = config.path;
-      path.metrics = sink;
-      path_opt_refine(b, path);
+      path_opt_refine(b, config.path);
       return b;
     }
     case Method::kGreedyHc: {

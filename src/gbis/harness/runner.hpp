@@ -77,10 +77,10 @@ struct RunConfig {
   /// Nothing here influences trial outcomes, so the campaign
   /// fingerprint ignores the whole block.
   ObsOptions obs;
-  /// Transient recording sink for the *current* trial. The parallel
-  /// trial runner binds it (together with the kl/sa/fm/compaction/
-  /// multilevel sinks) on its per-trial config copy; leave it null in
-  /// configs you build yourself.
+  /// Transient recording sink for the *current* trial. run_trial
+  /// (harness/parallel_runner) binds it, together with every solver's
+  /// sink, on its per-trial config copy; leave it null in configs you
+  /// build yourself.
   MetricsSink* metrics = nullptr;
 };
 

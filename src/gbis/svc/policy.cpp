@@ -1,13 +1,9 @@
 #include "gbis/svc/policy.hpp"
 
-#include <array>
-#include <limits>
-#include <new>
+#include <exception>
 
 #include "gbis/harness/timer.hpp"
 #include "gbis/obs/span.hpp"
-#include "gbis/rng/splitmix.hpp"
-#include "gbis/util/deadline.hpp"
 
 namespace gbis {
 
@@ -55,110 +51,43 @@ void offer_trial_spans(SpanBuffer& spans, std::uint32_t trial,
 PolicyResult run_policy(const Graph& g, const PolicySpec& spec,
                         std::uint64_t seed, const RunConfig& base,
                         bool keep_sides, const std::atomic<bool>* stop,
-                        SpanBuffer* spans) {
+                        SpanBuffer* spans, const Deadline& deadline) {
   PolicyResult result;
-  if (spec.budget == 0) return result;  // all-skipped, status kSkipped
   const bool tracing = spans != nullptr && spans->bound();
   const WallTimer policy_clock;  // span offsets relative to policy entry
-
-  // One deadline for the whole request, shared by every trial.
-  const Deadline deadline = spec.deadline_seconds > 0
-                                ? Deadline::after(spec.deadline_seconds)
-                                : Deadline();
-  RunConfig config = base;
-  config.obs = ObsOptions{};  // the service keeps its own counters
-  config.metrics = nullptr;
-  config.kl.metrics = nullptr;
-  config.sa.metrics = nullptr;
-  config.fm.metrics = nullptr;
-  config.compaction.metrics = nullptr;
-  config.multilevel.metrics = nullptr;
-  config.kl.deadline = deadline;
-  config.sa.deadline = deadline;
-  config.fm.deadline = deadline;
-  config.path.deadline = deadline;
-  config.path.metrics = nullptr;
-
   const std::span<const Method> portfolio = quality_portfolio(spec.quality);
-  result.best_cut = std::numeric_limits<Weight>::max();
+  const auto method_of = [&](std::uint32_t i) {
+    return spec.portfolio ? portfolio[i % portfolio.size()] : spec.method;
+  };
   for (std::uint32_t i = 0; i < spec.budget; ++i) {
-    const Method method =
-        spec.portfolio ? portfolio[i % portfolio.size()] : spec.method;
+    TrialResult trial;
     if (stop != nullptr && stop->load(std::memory_order_acquire)) {
-      ++result.skipped;
-      continue;
-    }
-    if (deadline.expired()) {
+      trial.status = TrialStatus::kSkipped;
+    } else if (deadline.expired()) {
       // Budget the request can no longer spend: count the remaining
       // trials timed out without paying for their generation phases.
-      ++result.timed_out;
-      if (result.first_error.empty()) {
-        result.first_error = "deadline exceeded";
-      }
-      continue;
-    }
-    const CpuTimer timer;
-    // Tracing binds a throwaway per-trial sink so the trial's
-    // convergence trace becomes its sub-spans; the service's own
-    // counters stay untouched either way.
-    TrialMetrics trial_metrics;
-    MetricsSink trial_sink(&trial_metrics, 64);
-    MetricsSink* sink = tracing ? &trial_sink : nullptr;
-    config.kl.metrics = sink;
-    config.sa.metrics = sink;
-    config.fm.metrics = sink;
-    config.path.metrics = sink;
-    config.compaction.metrics = sink;
-    config.multilevel.metrics = sink;
-    const double trial_start = policy_clock.elapsed_seconds();
-    std::int64_t trial_cut = -1;
-    try {
-      Rng rng(splitmix64_at(seed, i));
-      const Bisection b = run_one_start(g, method, rng, config);
-      trial_cut = b.cut();
-      if (b.cut() < result.best_cut) {
-        result.best_cut = b.cut();
-        result.best_method = method;
-        if (keep_sides) {
-          result.best_sides.assign(b.sides().begin(), b.sides().end());
-        }
-      }
-      ++result.ok;
-    } catch (const DeadlineExceeded& error) {
-      ++result.timed_out;
-      if (result.first_error.empty()) result.first_error = error.what();
-    } catch (const std::bad_alloc& error) {
-      ++result.failed;
-      if (result.first_error.empty()) {
-        result.first_error = error.what();
-        result.oom = true;
-      }
-    } catch (const std::exception& error) {
-      ++result.failed;
-      if (result.first_error.empty()) result.first_error = error.what();
-    } catch (...) {
-      ++result.failed;
-      if (result.first_error.empty()) result.first_error = "unknown exception";
-    }
-    result.cpu_seconds += timer.elapsed_seconds();
-    if (tracing) {
-      offer_trial_spans(*spans, i, trial_cut, trial_metrics, trial_start,
-                        policy_clock.elapsed_seconds() - trial_start);
-    }
-  }
-
-  if (result.ok > 0) {
-    result.status = TrialStatus::kOk;
-  } else {
-    result.best_cut = 0;  // no valid cut; callers must consult status
-    if (result.failed > 0) {
-      result.status = TrialStatus::kFailed;
-    } else if (result.timed_out > 0) {
-      result.status = TrialStatus::kTimedOut;
+      trial = failed_trial(std::make_exception_ptr(DeadlineExceeded()));
     } else {
-      result.status = TrialStatus::kSkipped;
+      // Tracing binds a throwaway per-trial sink so the trial's
+      // convergence trace becomes its sub-spans; the service's own
+      // counters stay untouched either way.
+      TrialMetrics trial_metrics;
+      MetricsSink trial_sink(&trial_metrics, 64);
+      const double trial_start = policy_clock.elapsed_seconds();
+      trial = run_trial(g, method_of(i), seed, i, base,
+                        {deadline, tracing ? &trial_sink : nullptr, nullptr},
+                        keep_sides);
+      if (tracing) {
+        offer_trial_spans(*spans, i,
+                          trial.status == TrialStatus::kOk ? trial.cut : -1,
+                          trial_metrics, trial_start,
+                          policy_clock.elapsed_seconds() - trial_start);
+      }
     }
+    if (result.first_error.empty()) result.oom = trial.oom;  // first failure
+    fold_trial(result, i, trial, keep_sides);
   }
+  if (result.ok > 0) result.best_method = method_of(result.best_start);
   return result;
 }
 

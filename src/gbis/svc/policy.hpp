@@ -20,25 +20,27 @@
 // the paper's best quality-per-second method — so budget=1 degrades to
 // exactly `gbis solve <g> ckl` with one start (fast rung excepted).
 //
-// Determinism: trial i of a request draws from an Rng seeded with
-// splitmix64_at(request seed, i) — the parallel-runner scheme — and
-// trials run *serially inside* the request (cross-request parallelism
-// belongs to the service scheduler, whose pool jobs must not nest).
-// With no deadline the result is a pure function of (graph, spec,
-// seed); with one, completed trials still produce identical cuts but
-// *which* trials complete is honest wall-clock data, exactly like
-// campaign trial deadlines.
+// One trial path: trial i of a request is run_trial(..., seed, i, ...)
+// from harness/parallel_runner — the campaign trial body, seeded with
+// splitmix64_at(request seed, i) — and the request folds its trials
+// with fold_trial, the campaign cell reduction. So an explicit-method
+// request with budget k answers exactly like a k-start campaign cell
+// (run_method_seeded) at the same seed. Trials run *serially inside*
+// the request (cross-request parallelism belongs to the service
+// scheduler, whose pool jobs must not nest). With no deadline the
+// result is a pure function of (graph, spec, seed); with one, completed
+// trials still produce identical cuts but *which* trials complete is
+// honest wall-clock data, exactly like campaign trial deadlines.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "gbis/harness/parallel_runner.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/methods/registry.hpp"
+#include "gbis/util/deadline.hpp"
 
 namespace gbis {
 
@@ -52,11 +54,6 @@ struct PolicySpec {
   /// an explicit method ignores it).
   QualityTier quality = QualityTier::kBest;
   std::uint32_t budget = 2;      ///< total trials to spend
-  /// Request-wide wall-clock budget in seconds; 0 = unlimited. One
-  /// Deadline is armed for the whole request: trials still queued when
-  /// it expires are marked timed out without running, and the trial in
-  /// flight is interrupted at its next cooperative poll.
-  double deadline_seconds = 0;
 };
 
 /// The racing order of the default ("best") rung's portfolio (trial i
@@ -64,15 +61,11 @@ struct PolicySpec {
 /// come from quality_portfolio(tier) in methods/registry.hpp.
 std::span<const Method> policy_portfolio();
 
-/// What the policy produced. `status` follows the campaign cell
-/// convention: kOk when any trial finished, else the dominant failure.
-struct PolicyResult {
-  TrialStatus status = TrialStatus::kSkipped;
-  Weight best_cut = 0;             ///< valid only when status == kOk
+/// What the policy produced: the request's trials folded as one
+/// campaign cell (fold_trial — best cut, tallies, first error, and the
+/// kOk-when-any-trial-finished verdict), plus the service's own flags.
+struct PolicyResult : MethodOutcome {
   Method best_method = Method::kCkl;  ///< method of the winning trial
-  std::uint32_t ok = 0, failed = 0, timed_out = 0, skipped = 0;
-  double cpu_seconds = 0;   ///< summed over executed trials
-  std::string first_error;  ///< first failure/timeout text, trial order
   /// True when the first failure was an allocation failure — the
   /// scheduler maps it to the stable "internal: out of memory" client
   /// reason (full text stays on stderr + the access log).
@@ -81,13 +74,16 @@ struct PolicyResult {
   /// rather than the cold policy — set by the scheduler's warm path,
   /// never by run_policy itself.
   bool warm = false;
-  std::vector<std::uint8_t> best_sides;  ///< filled when keep_sides
 };
 
 /// Runs the policy. `base` supplies the solver knobs (KlOptions etc.);
 /// its obs block is ignored — the service keeps its own counters.
 /// `stop` (optional) drains remaining trials as skipped, the graceful-
-/// shutdown path. Never throws on trial failure; failures are data.
+/// shutdown path. `deadline` is the request-wide wall-clock budget
+/// (default: unlimited): trials still queued when it expires are
+/// marked timed out without running, and the trial in flight is
+/// interrupted at its next cooperative poll. Never throws on trial
+/// failure; failures are data.
 /// A bound `spans` buffer (obs/span.hpp) collects per-method sub-spans
 /// for request tracing: one "trial" span per executed trial plus the
 /// trial's convergence points (kl.pass / sa.temp / fm.pass / po.pass),
@@ -97,6 +93,7 @@ PolicyResult run_policy(const Graph& g, const PolicySpec& spec,
                         std::uint64_t seed, const RunConfig& base = {},
                         bool keep_sides = false,
                         const std::atomic<bool>* stop = nullptr,
-                        SpanBuffer* spans = nullptr);
+                        SpanBuffer* spans = nullptr,
+                        const Deadline& deadline = Deadline());
 
 }  // namespace gbis

@@ -52,6 +52,27 @@ std::uint64_t to_us(double seconds) {
   return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
 }
 
+/// Materializes a request's graph payload: a path (.metis or edge
+/// list) or inline edge-list text. On failure returns null and sets
+/// `error` to the client reason — path errors are I/O, inline payloads
+/// that fail to parse are protocol errors.
+std::shared_ptr<const Graph> load_graph(const SvcRequest& req,
+                                        std::string& error) {
+  try {
+    if (!req.path.empty()) {
+      return std::make_shared<const Graph>(
+          ends_with(req.path, ".metis") ? read_metis_file(req.path)
+                                        : read_edge_list_file(req.path));
+    }
+    std::istringstream in(req.inline_graph);
+    return std::make_shared<const Graph>(read_edge_list(in));
+  } catch (const std::exception& e) {
+    error = (req.path.empty() ? "parse: inline graph: " : "io: ") +
+            std::string(e.what());
+    return nullptr;
+  }
+}
+
 }  // namespace
 
 SvcOptions svc_options_from_env(SvcOptions base) {
@@ -181,6 +202,9 @@ struct Service::Pending {
   bool has_key = false;
   PolicySpec spec;
   std::uint64_t seed = 0;
+  /// Request-wide budget in seconds (0 = unlimited); one Deadline is
+  /// armed from it per cold solve.
+  double deadline_seconds = 0;
 
   /// Loaded/referenced payload; shared with the graph store so an
   /// eviction mid-batch cannot free a graph a worker is solving.
@@ -437,9 +461,9 @@ void Service::prepare(
     return;
   }
   entry.spec.budget = req.budget != 0 ? req.budget : options_.default_budget;
-  entry.spec.deadline_seconds = req.deadline_seconds >= 0
-                                    ? req.deadline_seconds
-                                    : options_.default_deadline_seconds;
+  entry.deadline_seconds = req.deadline_seconds >= 0
+                               ? req.deadline_seconds
+                               : options_.default_deadline_seconds;
   entry.seed = req.has_seed ? req.seed : options_.default_seed;
   // Ladder rung: the request's "quality" when present (the protocol
   // layer already rejected unknown values), else the service default.
@@ -488,30 +512,18 @@ void Service::prepare(
     entry.spec.budget = std::min<std::uint32_t>(entry.spec.budget, 2);
   }
 
-  // Load the graph payload. Path errors are I/O; inline payloads that
-  // fail to parse are protocol errors. A fingerprint reference defers
+  // Load the graph payload. A fingerprint reference defers
   // materialization until after the cache lookup — the key is
   // computable from the reference alone, so a pre-crash repeat can
   // answer as a hit even when the graph itself is gone.
   if (req.has_fingerprint) {
     entry.key.fingerprint = req.fingerprint;
   } else {
-    try {
-      Graph loaded;
-      if (!req.path.empty()) {
-        loaded = ends_with(req.path, ".metis") ? read_metis_file(req.path)
-                                               : read_edge_list_file(req.path);
-      } else {
-        std::istringstream in(req.inline_graph);
-        loaded = read_edge_list(in);
-      }
-      entry.graph = std::make_shared<const Graph>(std::move(loaded));
-    } catch (const std::exception& error) {
+    std::string error;
+    entry.graph = load_graph(req, error);
+    if (entry.graph == nullptr) {
       entry.response.ok = false;
-      entry.response.error =
-          (req.path.empty() ? std::string("parse: inline graph: ")
-                            : std::string("io: ")) +
-          error.what();
+      entry.response.error = std::move(error);
       entry.done = true;
       return;
     }
@@ -533,7 +545,7 @@ void Service::prepare(
   entry.key.budget = entry.spec.budget;
   entry.key.seed = entry.seed;
   entry.key.deadline_bits = std::bit_cast<std::uint64_t>(
-      entry.spec.deadline_seconds);
+      entry.deadline_seconds);
   entry.has_key = true;
   entry.response.fingerprint = entry.key.fingerprint;
 
@@ -635,20 +647,10 @@ void Service::prepare_mutate(Pending& entry) {
     parent_fp = req.fingerprint;
     parent = graph_store_.lookup(parent_fp);  // may miss; see below
   } else {
-    try {
-      Graph loaded;
-      if (!req.path.empty()) {
-        loaded = ends_with(req.path, ".metis") ? read_metis_file(req.path)
-                                               : read_edge_list_file(req.path);
-      } else {
-        std::istringstream in(req.inline_graph);
-        loaded = read_edge_list(in);
-      }
-      parent = std::make_shared<const Graph>(std::move(loaded));
-    } catch (const std::exception& error) {
-      reject((req.path.empty() ? std::string("parse: inline graph: ")
-                               : std::string("io: ")) +
-             error.what());
+    std::string error;
+    parent = load_graph(req, error);
+    if (parent == nullptr) {
+      reject(std::move(error));
       return;
     }
     parent_fp = graph_fingerprint(*parent);
@@ -1240,14 +1242,17 @@ void Service::process_batch(std::vector<std::string>& out,
         [&](std::size_t j) {
           Pending& entry = *queue_[cold_queue_index[j]];
           entry.solve_start_seconds = clock_.elapsed_seconds();
+          // One deadline for the whole solve: the fault sites, the warm
+          // refine and a guardrail fallback to the cold policy all
+          // spend the same request budget.
+          const Deadline deadline =
+              entry.deadline_seconds > 0
+                  ? Deadline::after(entry.deadline_seconds)
+                  : Deadline();
           // req-/solve-site fault injection, at the exact point a cold
           // solve starts. Exceptions land in the pool's per-job error
           // slot and are mapped below like any other solve failure.
           if (!options_.faults.empty()) {
-            const Deadline deadline = entry.spec.deadline_seconds > 0
-                                          ? Deadline::after(
-                                                entry.spec.deadline_seconds)
-                                          : Deadline();
             maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kReq,
                                    entry.seq, deadline, stop);
             maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kSolve,
@@ -1262,10 +1267,6 @@ void Service::process_batch(std::vector<std::string>& out,
             // change the cut by at most its own weight-1 edge, so a
             // warm cut far beyond parent + edits means the projection
             // landed badly and the cold policy should run instead.
-            const Deadline deadline =
-                entry.spec.deadline_seconds > 0
-                    ? Deadline::after(entry.spec.deadline_seconds)
-                    : Deadline();
             const double refine_start = clock_.elapsed_seconds();
             WarmSolveResult w =
                 warm_solve(*entry.graph, std::move(entry.warm_seed),
@@ -1299,7 +1300,7 @@ void Service::process_batch(std::vector<std::string>& out,
             const double policy_start = clock_.elapsed_seconds();
             results[j] = run_policy(*entry.graph, entry.spec, entry.seed,
                                     options_.run, /*keep_sides=*/true, stop,
-                                    &span_buffer);
+                                    &span_buffer, deadline);
             // Policy spans are recorded against the policy's own clock;
             // rebase them onto the service epoch (wall-clock data only —
             // structure is already epoch-free).
@@ -1320,25 +1321,15 @@ void Service::process_batch(std::vector<std::string>& out,
         stop);
     for (std::size_t j = 0; j < outcomes.size(); ++j) {
       if (outcomes[j].state == JobState::kDone) continue;
-      // kNotRun (drained) stays kSkipped; a thrown job becomes kFailed
-      // (a deadline overrun kTimedOut, an allocation failure flagged
-      // oom for the stable-reason mapping).
+      // kNotRun (drained) stays kSkipped; a thrown job takes the trial
+      // exception mapping (failed_trial: a deadline overrun kTimedOut,
+      // an allocation failure flagged oom for the stable reason).
       results[j] = PolicyResult{};
       if (outcomes[j].state == JobState::kError) {
-        results[j].status = TrialStatus::kFailed;
-        try {
-          std::rethrow_exception(outcomes[j].error);
-        } catch (const DeadlineExceeded& error) {
-          results[j].status = TrialStatus::kTimedOut;
-          results[j].first_error = error.what();
-        } catch (const std::bad_alloc& error) {
-          results[j].first_error = error.what();
-          results[j].oom = true;
-        } catch (const std::exception& error) {
-          results[j].first_error = error.what();
-        } catch (...) {
-          results[j].first_error = "unknown exception";
-        }
+        TrialResult failure = failed_trial(outcomes[j].error);
+        results[j].status = failure.status;
+        results[j].first_error = std::move(failure.error);
+        results[j].oom = failure.oom;
       }
     }
   }

@@ -16,10 +16,22 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/ops.hpp"
 #include "gbis/harness/runner.hpp"
+#include "gbis/methods/registry.hpp"
+#include "gbis/partition/bisection.hpp"
 #include "gbis/rng/rng.hpp"
 
 namespace gbis {
 namespace {
+
+// Every registered method, in registry order: the sweeps below cover a
+// new method as soon as it has a registry row.
+std::vector<Method> registered_methods() {
+  std::vector<Method> methods;
+  for (const MethodInfo& info : method_registry()) {
+    methods.push_back(info.method);
+  }
+  return methods;
+}
 
 // --- Every method yields a legal bisection on every family ---------------
 
@@ -63,17 +75,21 @@ TEST_P(MethodFamilyProperty, ProducesLegalBisection) {
   config.starts = 1;
   config.sa.temperature_length_factor = 2.0;
   config.sa.cooling_ratio = 0.85;
-  const RunResult result = run_method(g, method, rng, config);
+  std::vector<std::uint8_t> sides;
+  const RunResult result = run_method(g, method, rng, config, &sides);
   EXPECT_GE(result.best_cut, 0);
   EXPECT_LE(result.best_cut, g.total_edge_weight());
+  // The answer is a legal bisection: one side per vertex, side sizes
+  // within one of each other, and the reported cut matches a recount.
+  ASSERT_EQ(sides.size(), g.num_vertices());
+  const Bisection recount(g, sides);
+  EXPECT_LE(recount.count_imbalance(), 1u);
+  EXPECT_EQ(recount.cut(), result.best_cut);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MethodFamilyProperty,
-    testing::Combine(testing::Values(Method::kKl, Method::kSa, Method::kCkl,
-                                     Method::kCsa, Method::kFm, Method::kCfm,
-                                     Method::kMultilevelKl, Method::kGreedy,
-                                     Method::kSpectral, Method::kRandom),
+    testing::Combine(testing::ValuesIn(registered_methods()),
                      testing::Values(Family::kGnp, Family::kPlanted,
                                      Family::kRegular, Family::kGrid,
                                      Family::kLadder, Family::kTree)));
@@ -90,8 +106,7 @@ TEST_P(NeverBelowOptimum, OnSmallRandomGraphs) {
   RunConfig config;
   config.starts = 2;
   config.sa.temperature_length_factor = 4.0;
-  for (Method m : {Method::kKl, Method::kSa, Method::kCkl, Method::kCsa,
-                   Method::kFm, Method::kGreedy, Method::kSpectral}) {
+  for (const Method m : registered_methods()) {
     const RunResult result = run_method(g, m, rng, config);
     EXPECT_GE(result.best_cut, optimal) << method_name(m);
   }

@@ -31,6 +31,7 @@
 #include "gbis/harness/checkpoint.hpp"
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/io/edge_list.hpp"
+#include "gbis/methods/registry.hpp"
 #include "gbis/obs/span.hpp"
 #include "gbis/partition/bisection.hpp"
 #include "gbis/rng/rng.hpp"
@@ -261,11 +262,33 @@ TEST(Policy, ExpiredDeadlineTimesOutEveryTrial) {
   const Graph g = policy_graph();
   PolicySpec spec;
   spec.budget = 3;
-  spec.deadline_seconds = 1e-9;
-  const PolicyResult result = run_policy(g, spec, 7);
+  const PolicyResult result = run_policy(g, spec, 7, {}, false, nullptr,
+                                         nullptr, Deadline::after(1e-9));
   EXPECT_EQ(result.status, TrialStatus::kTimedOut);
   EXPECT_EQ(result.timed_out, 3u);
   EXPECT_EQ(result.ok, 0u);
+}
+
+// One trial path: an explicit-method request with budget k runs the
+// same k trials as a k-start campaign cell at the same seed, and
+// reduces them the same way (ties keep the earliest start).
+TEST(Policy, ExplicitMethodAnswersLikeACampaignCell) {
+  const Graph g = policy_graph();
+  for (const MethodInfo& info : method_registry()) {
+    PolicySpec spec;
+    spec.portfolio = false;
+    spec.method = info.method;
+    spec.budget = 3;
+    const PolicyResult served = run_policy(g, spec, 7, {}, /*keep_sides=*/true);
+    RunConfig config;
+    config.starts = 3;
+    std::vector<std::uint8_t> sides;
+    const RunResult cell = run_method_seeded(g, info.method, 7, config, &sides);
+    ASSERT_EQ(served.status, TrialStatus::kOk) << info.name;
+    EXPECT_EQ(served.best_method, info.method) << info.name;
+    EXPECT_EQ(served.best_cut, cell.best_cut) << info.name;
+    EXPECT_EQ(served.best_sides, sides) << info.name;
+  }
 }
 
 TEST(Policy, StopFlagSkipsRemainingTrials) {
@@ -2502,6 +2525,37 @@ TEST(Service, TraceStreamIsThreadCountInvariant) {
   EXPECT_NE(trace_response.find("kl.pass"), std::string::npos)
       << trace_response;
   EXPECT_EQ(trace_response.find("_us"), std::string::npos);
+}
+
+// Path-optimization trials emit their po.pass convergence points as
+// sub-spans, whether the request names the method or races it on the
+// balanced rung.
+TEST(Service, TraceCarriesPathOptSubSpans) {
+  const Graph g = make_grid(6, 6);
+  const std::vector<std::string> out = run_sequence(
+      test_options(),
+      {solve_line("p", g, ",\"method\":\"path\",\"trace\":\"00000000000000a1\""),
+       solve_line("b", g,
+                  ",\"quality\":\"balanced\",\"trace\":\"00000000000000b2\""),
+       "{\"id\":\"t\",\"op\":\"trace\"}"});
+  ASSERT_EQ(out.size(), 3u);
+  std::string spans;
+  ASSERT_TRUE(json_parse_string(out[2], "spans", spans)) << out[2];
+  for (const char* trace : {"00000000000000a1", "00000000000000b2"}) {
+    std::istringstream sets(spans);
+    std::string set;
+    bool found = false;
+    while (std::getline(sets, set)) {
+      if (set.find("\"trace\":\"" + std::string(trace) + "\"") ==
+          std::string::npos) {
+        continue;
+      }
+      found = true;
+      EXPECT_NE(set.find("\"name\":\"po.pass\""), std::string::npos)
+          << trace << ": " << set;
+    }
+    EXPECT_TRUE(found) << trace << " missing in " << spans;
+  }
 }
 
 TEST(Service, TraceIdsPropagateThroughMutateWarmChains) {

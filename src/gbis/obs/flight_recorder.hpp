@@ -7,7 +7,7 @@
 // Two parallel representations, both maintained only on the service's
 // single driver thread:
 //   * structured SpanSets (deque ring + in-flight map) for the trace
-//     op, the Chrome spans.json dump, and tests;
+//     op, the serve Chrome trace.json, and tests;
 //   * pre-serialized byte slots guarded by a seqlock, so the
 //     async-signal-safe dump path (SIGQUIT handler, crash hook) can
 //     copy-and-write() without touching the allocator, a lock, or any

@@ -2,18 +2,17 @@
 
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
-namespace {
-
-std::uint64_t span_to_us(double seconds) {
+std::uint64_t to_us(double seconds) {
   if (!(seconds > 0)) return 0;
   return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
 }
+
+namespace {
 
 constexpr const char* kSubSpanNames[] = {"kl.pass", "sa.temp", "fm.pass",
                                          "po.pass"};
@@ -53,8 +52,8 @@ std::string encode_span_set(const SpanSet& set, const char* state) {
     // Timing keys last in each span object (the repo-wide "_us"
     // convention), so one strip pattern recovers the deterministic
     // bytes.
-    line += ",\"t_start_us\":" + std::to_string(span_to_us(span.start_seconds));
-    line += ",\"t_dur_us\":" + std::to_string(span_to_us(span.duration_seconds));
+    line += ",\"t_start_us\":" + std::to_string(to_us(span.start_seconds));
+    line += ",\"t_dur_us\":" + std::to_string(to_us(span.duration_seconds));
     line += "}";
   }
   line += "]}";
@@ -86,28 +85,6 @@ void SpanBuffer::offer(SpanRec rec) {
 #else
   (void)rec;
 #endif
-}
-
-void write_span_chrome_trace(std::ostream& out,
-                             const std::deque<SpanSet>& sets) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const SpanSet& set : sets) {
-    for (const SpanRec& span : set.spans) {
-      if (!first) out << ",";
-      first = false;
-      out << "\n{\"name\":\"" << span.name
-          << "\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":"
-          << span_to_us(span.start_seconds)
-          << ",\"dur\":" << span_to_us(span.duration_seconds)
-          << ",\"pid\":0,\"tid\":0,\"args\":{\"trace\":\""
-          << to_hex16(set.trace_id) << "\",\"seq\":" << set.seq;
-      if (span.has_step) out << ",\"step\":" << span.step;
-      if (span.has_value) out << ",\"cut\":" << span.value;
-      out << "}}";
-    }
-  }
-  out << "\n]}\n";
 }
 
 }  // namespace gbis

@@ -1,11 +1,14 @@
 // Request spans for the partition service: the causal record of one
 // request's path through accept -> parse -> admit -> queue -> phase-1
 // lookup/mutate -> solve (with per-method sub-spans from the registry)
-// -> finalize -> write. A SpanSet is everything one request recorded;
-// the scheduler assembles it on the dispatch thread in arrival order,
-// workers contribute only their own solve sub-spans, and the flight
+// -> finalize -> write. A SpanSet is everything one request recorded,
+// and it is the service's only per-request record: the access log and
+// the latency histograms read their timings from it, and the flight
 // recorder (obs/flight_recorder) keeps the last N completed sets plus
-// every in-flight one.
+// every in-flight one for op:"trace", signal dumps and the serve
+// trace.json (obs/trace_export). The scheduler assembles a set on the
+// dispatch thread in arrival order; workers contribute only their own
+// solve sub-spans.
 //
 // Determinism contract (the service-wide one, see docs/SERVICE.md):
 // span *structure* — names, order, step ordinals, cut values, the
@@ -17,8 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,11 @@ struct SpanSet {
   std::string status;          ///< "queued"/"pending" in flight; "ok"/"error"/"rejected" done
   std::vector<SpanRec> spans;
 };
+
+/// Whole microseconds, rounded; 0 for a non-positive or NaN duration.
+/// Every "_us" value a span feeds (span lines, access-log timings,
+/// latency histograms) goes through it.
+std::uint64_t to_us(double seconds);
 
 /// Encodes one span set as a single JSON line (no trailing newline):
 /// `{"state":"done","trace":"<hex16>","seq":N,...,"spans":[...]}` with
@@ -90,13 +96,5 @@ class SpanBuffer {
   std::uint64_t ordinal_ = 0;  ///< spans offered so far
   std::uint64_t stride_ = 1;   ///< keep every stride-th span
 };
-
-/// Chrome trace-event dump of completed span sets (the `spans.json`
-/// companion of the slow-sample trace.json): one "request" lane, one
-/// complete event per span with trace/seq/step/cut args. Wall-clock
-/// placement, outside the determinism contract like every Chrome
-/// trace.
-void write_span_chrome_trace(std::ostream& out,
-                             const std::deque<SpanSet>& sets);
 
 }  // namespace gbis

@@ -1,7 +1,5 @@
 #include "gbis/obs/trace_export.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -12,6 +10,7 @@
 #include "gbis/harness/stats.hpp"
 #include "gbis/io/io_error.hpp"
 #include "gbis/obs/trace.hpp"
+#include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
@@ -24,28 +23,37 @@ void write_us(std::ostream& out, double seconds) {
   out.precision(precision);
 }
 
-void write_json_string(std::ostream& out, const std::string& value) {
-  out << '"';
-  for (const char raw : value) {
-    const auto c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << raw;
-        }
-    }
+/// The one Chrome trace-event writer behind every trace.json: a
+/// traceEvents array of complete events, one per line, in the JSON
+/// object format. Construction opens the object, finish() closes it.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& out) : out_(out) {
+    out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   }
-  out << '"';
-}
+
+  /// One complete event ("ph":"X") on lane `tid`; times in seconds
+  /// against the trace's epoch, `args` the rendered members of the
+  /// event's args object.
+  void event(const std::string& name, const char* cat, double start_seconds,
+             double duration_seconds, std::uint32_t tid,
+             const std::string& args) {
+    std::string head = first_ ? "\n{\"name\":" : ",\n{\"name\":";
+    first_ = false;
+    append_json_string(head, name);
+    out_ << head << ",\"cat\":\"" << cat << "\",\"ph\":\"X\",\"ts\":";
+    write_us(out_, start_seconds);
+    out_ << ",\"dur\":";
+    write_us(out_, duration_seconds);
+    out_ << ",\"pid\":0,\"tid\":" << tid << ",\"args\":{" << args << "}}";
+  }
+
+  void finish() { out_ << "\n]}\n"; }
+
+ private:
+  std::ostream& out_;
+  bool first_ = true;
+};
 
 }  // namespace
 
@@ -92,108 +100,65 @@ MetricsReport build_metrics_report(std::span<const TrialResult> results) {
 void write_chrome_trace(std::ostream& out,
                         std::span<const TrialResult> results,
                         std::span<const TrialSpec> trials) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto begin_event = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
+  ChromeTraceWriter trace(out);
   for (std::size_t i = 0; i < results.size(); ++i) {
     const TrialResult& result = results[i];
     if (result.metrics == nullptr) continue;
     const TrialMetrics& tm = *result.metrics;
     const TrialSpec& spec = trials[i];
-
-    begin_event();
-    out << "{\"name\":";
-    write_json_string(out, method_name(spec.method) + " g" +
-                               std::to_string(spec.graph_index) + " s" +
-                               std::to_string(spec.start_index));
-    out << ",\"cat\":\"trial\",\"ph\":\"X\",\"ts\":";
-    write_us(out, tm.start_offset_seconds);
-    out << ",\"dur\":";
-    write_us(out, tm.wall_seconds);
-    out << ",\"pid\":0,\"tid\":" << tm.tid << ",\"args\":{\"trial\":" << i
-        << ",\"status\":\"" << trial_status_name(result.status) << "\"";
+    const std::string trial = "\"trial\":" + std::to_string(i);
+    std::string args = trial + ",\"status\":\"" +
+                       trial_status_name(result.status) + "\"";
     if (result.status == TrialStatus::kOk) {
-      out << ",\"cut\":" << result.cut;
+      args += ",\"cut\":" + std::to_string(result.cut);
     }
     if (!result.error.empty()) {
-      out << ",\"error\":";
-      write_json_string(out, result.error);
+      args += ",\"error\":";
+      append_json_string(args, result.error);
     }
-    out << "}}";
-
+    trace.event(method_name(spec.method) + " g" +
+                    std::to_string(spec.graph_index) + " s" +
+                    std::to_string(spec.start_index),
+                "trial", tm.start_offset_seconds, tm.wall_seconds, tm.tid,
+                args);
     for (const PhaseSpan& span : tm.phases) {
-      begin_event();
-      out << "{\"name\":\"" << phase_name(span.phase)
-          << "\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":";
-      write_us(out, tm.start_offset_seconds + span.start_seconds);
-      out << ",\"dur\":";
-      write_us(out, span.duration_seconds);
-      out << ",\"pid\":0,\"tid\":" << tm.tid
-          << ",\"args\":{\"trial\":" << i << "}}";
+      trace.event(phase_name(span.phase), "phase",
+                  tm.start_offset_seconds + span.start_seconds,
+                  span.duration_seconds, tm.tid, trial);
     }
   }
-  out << "\n]}\n";
+  trace.finish();
 }
 
-void write_svc_trace(std::ostream& out,
-                     std::span<const SvcSlowSample> samples) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto begin_event = [&] {
-    if (!first) out << ",";
-    first = false;
-    out << "\n";
-  };
-  for (const SvcSlowSample& sample : samples) {
-    begin_event();
-    out << "{\"name\":";
-    write_json_string(out, "req " + std::to_string(sample.seq) +
-                               (sample.id.empty() ? "" : " " + sample.id));
-    out << ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":";
-    write_us(out, sample.submit_seconds);
-    out << ",\"dur\":";
-    write_us(out, sample.total_seconds);
-    out << ",\"pid\":0,\"tid\":0,\"args\":{\"seq\":" << sample.seq
-        << ",\"id\":";
-    write_json_string(out, sample.id);
-    if (!sample.method.empty()) {
-      out << ",\"method\":";
-      write_json_string(out, sample.method);
+void write_span_trace(std::ostream& out, const std::deque<SpanSet>& sets,
+                      double min_ms) {
+  ChromeTraceWriter trace(out);
+  for (const SpanSet& set : sets) {
+    if (set.spans.empty()) continue;  // nothing to place on the timeline
+    const double start = set.spans.front().start_seconds;
+    const double seconds = set.spans.back().start_seconds +
+                           set.spans.back().duration_seconds - start;
+    if (seconds * 1000.0 < min_ms) continue;
+    const std::string key = "\"trace\":\"" + to_hex16(set.trace_id) +
+                            "\",\"seq\":" + std::to_string(set.seq);
+    std::string args = key + ",\"id\":";
+    append_json_string(args, set.id);
+    args += ",\"op\":";
+    append_json_string(args, set.op);
+    args += ",\"status\":";
+    append_json_string(args, set.status);
+    trace.event("req " + std::to_string(set.seq) +
+                    (set.id.empty() ? "" : " " + set.id),
+                "request", start, seconds, 0, args);
+    for (const SpanRec& span : set.spans) {
+      std::string span_args = key;
+      if (span.has_step) span_args += ",\"step\":" + std::to_string(span.step);
+      if (span.has_value) span_args += ",\"cut\":" + std::to_string(span.value);
+      trace.event(span.name, "span", span.start_seconds, span.duration_seconds,
+                  0, span_args);
     }
-    if (!sample.cache.empty()) {
-      out << ",\"cache\":";
-      write_json_string(out, sample.cache);
-    }
-    out << ",\"status\":";
-    write_json_string(out, sample.status);
-    out << "}}";
-
-    const auto sub_span = [&](const char* name, double start, double dur) {
-      if (dur <= 0) return;
-      begin_event();
-      out << "{\"name\":\"" << name
-          << "\",\"cat\":\"svc_phase\",\"ph\":\"X\",\"ts\":";
-      write_us(out, start);
-      out << ",\"dur\":";
-      write_us(out, dur);
-      out << ",\"pid\":0,\"tid\":0,\"args\":{\"seq\":" << sample.seq << "}}";
-    };
-    sub_span("queue", sample.submit_seconds, sample.queue_seconds);
-    sub_span("solve", sample.solve_start_seconds, sample.solve_seconds);
-    // Finalize covers the tail between the end of the solve (or the
-    // dispatch, for requests that never solved) and the response.
-    const double work_end = sample.solve_seconds > 0
-                                ? sample.solve_start_seconds +
-                                      sample.solve_seconds
-                                : sample.submit_seconds + sample.queue_seconds;
-    const double request_end = sample.submit_seconds + sample.total_seconds;
-    sub_span("finalize", work_end, request_end - work_end);
   }
-  out << "\n]}\n";
+  trace.finish();
 }
 
 void export_observability(const ObsOptions& obs,

@@ -1,11 +1,15 @@
 // Chrome trace-event export and the top-level "write everything
 // ObsOptions asked for" entry point the trial runner calls after a
-// batch. The Chrome trace (trace.json) loads in Perfetto or
-// chrome://tracing: one complete event ("ph":"X") per executed trial —
-// including failed and timed-out trials — on the worker lane ("tid")
-// that ran it, plus one sub-span per recorded phase (gen / compact /
-// bisect / uncoalesce / refine). Timestamps are microseconds relative
-// to the batch epoch (the moment run_trials_ex started).
+// batch. Every trace.json, campaign and serve alike, goes through one
+// Chrome trace-event writer and loads in Perfetto or chrome://tracing:
+//   * campaign: one complete event ("ph":"X") per executed trial —
+//     including failed and timed-out trials — on the worker lane
+//     ("tid") that ran it, plus one sub-span per recorded phase (gen /
+//     compact / bisect / uncoalesce / refine), timestamped against the
+//     batch epoch (the moment run_trials_ex started);
+//   * serve: one "request" event per completed span set (obs/span),
+//     followed by that set's spans, all on lane 0 (the service is
+//     single-driver), timestamped against the service epoch.
 //
 // Unlike the convergence trace, this file is wall-clock data: span
 // placement depends on scheduling and is NOT covered by the
@@ -14,11 +18,13 @@
 // at a time) — tests/test_obs.cpp checks exactly that.
 #pragma once
 
+#include <deque>
 #include <iosfwd>
 #include <span>
 
 #include "gbis/harness/parallel_runner.hpp"
 #include "gbis/obs/metrics.hpp"
+#include "gbis/obs/span.hpp"
 
 namespace gbis {
 
@@ -27,7 +33,7 @@ namespace gbis {
 /// cut (ok trials) distributions.
 MetricsReport build_metrics_report(std::span<const TrialResult> results);
 
-/// Writes the Chrome trace-event JSON. `results` and `trials` are the
+/// Writes the campaign Chrome trace. `results` and `trials` are the
 /// parallel arrays a batch produced; trials without collected metrics
 /// (skipped, or collection disabled) are omitted.
 void write_chrome_trace(std::ostream& out,
@@ -42,29 +48,13 @@ void export_observability(const ObsOptions& obs,
                           std::span<const TrialResult> results,
                           std::span<const TrialSpec> trials);
 
-/// One sampled slow service request (svc/scheduler records these for
-/// requests whose total latency reaches `--slow-ms`, capped by the
-/// same deterministic stride-doubling decimation the convergence trace
-/// uses). All times are wall-clock seconds relative to the service
-/// epoch (construction) — timing values are nondeterministic; the
-/// *set of sampled seqs* under a 0 ms threshold is not.
-struct SvcSlowSample {
-  std::uint64_t seq = 0;  ///< request ordinal (access-log "seq")
-  std::string id;
-  std::string method;  ///< requested method selector ("" for non-solve)
-  std::string cache;   ///< "hit" | "miss" | "coalesced" | ""
-  std::string status;  ///< "ok" | "error"
-  double submit_seconds = 0;       ///< request arrival
-  double queue_seconds = 0;        ///< submit -> batch dispatch
-  double solve_start_seconds = 0;  ///< cold-solve start (epoch-relative)
-  double solve_seconds = 0;        ///< cold-solve duration; 0 = no solve ran
-  double total_seconds = 0;        ///< submit -> response finalized
-};
-
-/// Writes the slow-request Chrome trace: one "request" span per sample
-/// (args: seq/id/cache/status) with "queue" / "solve" / "finalize"
-/// phase sub-spans, all on one lane (the service is single-driver).
-void write_svc_trace(std::ostream& out,
-                     std::span<const SvcSlowSample> samples);
+/// Writes the serve Chrome trace from completed span sets (the flight
+/// recorder's ring, oldest first): per set one "request" event (args
+/// trace/seq/id/op/status) spanning its first span's start to its last
+/// span's end — accept -> write — then one "span" event per span (args
+/// trace/seq, plus step/cut when present). Sets shorter than `min_ms`
+/// milliseconds are left out; a negative `min_ms` keeps every set.
+void write_span_trace(std::ostream& out, const std::deque<SpanSet>& sets,
+                      double min_ms);
 
 }  // namespace gbis

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "gbis/dyn/mutation.hpp"
@@ -16,6 +16,7 @@
 #include "gbis/io/edge_list.hpp"
 #include "gbis/io/metis.hpp"
 #include "gbis/obs/prom_export.hpp"
+#include "gbis/obs/trace_export.hpp"
 #include "gbis/rng/splitmix.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/util/json_lite.hpp"
@@ -47,9 +48,13 @@ const char* op_name(SvcRequest::Op op) {
   return "solve";
 }
 
-std::uint64_t to_us(double seconds) {
-  if (!(seconds > 0)) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e6));
+/// The first span named `name` in a set; null when it has none.
+const SpanRec* find_span(const std::vector<SpanRec>& spans,
+                         std::string_view name) {
+  for (const SpanRec& span : spans) {
+    if (span.name == name) return &span;
+  }
+  return nullptr;
 }
 
 /// Materializes a request's graph payload: a path (.metis or edge
@@ -226,13 +231,8 @@ struct Service::Pending {
   /// stable "internal: ..." reason, this goes to stderr + access log.
   std::string internal_detail;
 
-  // Telemetry (wall clock against the service epoch; the worker fills
-  // the solve span for its own slot, read back after the pool joins).
-  std::uint64_t seq = 0;           ///< request ordinal (access-log "seq")
-  double submit_seconds = 0;       ///< stamped in submit_line
-  double dispatch_seconds = 0;     ///< stamped at process_batch entry
-  double solve_start_seconds = 0;  ///< cold leaders only
-  double solve_seconds = 0;        ///< cold leaders only
+  std::uint64_t seq = 0;      ///< request ordinal (access-log "seq")
+  double submit_seconds = 0;  ///< stamped in submit_line (service epoch)
 
   // Request tracing (obs/span): the derived-or-client trace id plus
   // the span set under construction. `spans` is driver-owned (submit /
@@ -279,7 +279,6 @@ Service::Service(SvcOptions options)
   if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   if (options_.default_budget == 0) options_.default_budget = 1;
-  if (options_.slow_capacity == 0) options_.slow_capacity = 1;
   if (options_.brownout_window == 0) options_.brownout_window = 1;
   if (options_.flight_ring == 0) options_.flight_ring = 1;
   if (!options_.access_log_path.empty()) {
@@ -397,7 +396,8 @@ void Service::submit_line(const std::string& line,
     // queue depth is a pure function of the submit/process call
     // sequence).
     ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcRejected)];
-    SvcResponse rejected;
+    SvcResponse& rejected = entry->response;
+    rejected = SvcResponse{};
     rejected.id = entry->request.id;
     rejected.ok = false;
     if (entry->client_trace) {
@@ -408,32 +408,12 @@ void Service::submit_line(const std::string& line,
                      " queued, max " + std::to_string(options_.max_queue) +
                      ")";
     out.push_back(encode_response(rejected));
-    if (access_log_ != nullptr) {
-      // Logged at submit time to match the response's position in the
-      // stream (rejections jump the queue there too).
-      AccessEntry logged;
-      logged.seq = entry->seq;
-      logged.id = entry->request.id;
-      logged.op = op_name(entry->request.op);
-      logged.status = "rejected";
-      logged.trace = entry->trace_id;
-      logged.has_trace = true;
-      if (entry->request.op == SvcRequest::Op::kSolve) {
-        logged.method = entry->request.method;
-      }
-      logged.error = rejected.error;
-      logged.t_total_us =
-          to_us(clock_.elapsed_seconds() - entry->submit_seconds);
-      access_log_->append(logged);
-      access_log_->flush();
-    }
-    // A rejected request still completes into the flight ring: tail
-    // forensics need the shed requests most of all.
-    metrics_.counters[static_cast<std::size_t>(Counter::kSvcTraceSpans)] +=
-        entry->spans.size();
-    flight_->complete(entry->span_set("rejected"));
-    metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcFlightRing)] =
-        static_cast<std::int64_t>(flight_->completed().size());
+    // Logged at submit time to match the response's position in the
+    // stream (rejections jump the queue there too), and still completed
+    // into the flight ring: tail forensics need the shed requests most
+    // of all.
+    finish_request(*entry, "rejected", clock_.elapsed_seconds());
+    if (access_log_ != nullptr) access_log_->flush();
     return;
   }
   entry->mark("admit", clock_.elapsed_seconds());
@@ -1025,82 +1005,80 @@ void Service::fill_trace(Pending& entry) {
   entry.done = true;
 }
 
-TrialMetrics Service::metrics_snapshot() const {
-  TrialMetrics snapshot = metrics_;
+void Service::write_trace(std::ostream& out) const {
+  write_span_trace(out, flight_->completed(), options_.slow_ms);
+}
+
+void Service::mirror_store_stats(TrialMetrics& into) const {
   const SvcCacheStats& cache = cache_.stats();
-  snapshot.counters[static_cast<std::size_t>(Counter::kSvcCacheHits)] =
-      cache.hits;
-  snapshot.counters[static_cast<std::size_t>(Counter::kSvcCacheMisses)] =
+  into.counters[static_cast<std::size_t>(Counter::kSvcCacheHits)] = cache.hits;
+  into.counters[static_cast<std::size_t>(Counter::kSvcCacheMisses)] =
       cache.misses;
-  snapshot.counters[static_cast<std::size_t>(Counter::kSvcCacheEvictions)] =
+  into.counters[static_cast<std::size_t>(Counter::kSvcCacheEvictions)] =
       cache.evictions;
-  snapshot.gauges[static_cast<std::size_t>(Gauge::kSvcCacheBytes)] =
+  into.gauges[static_cast<std::size_t>(Gauge::kSvcCacheBytes)] =
       static_cast<std::int64_t>(cache.bytes);
   const GraphStoreStats& graphs = graph_store_.stats();
-  snapshot.counters[static_cast<std::size_t>(
-      Counter::kSvcGraphStoreEvictions)] = graphs.evictions;
-  snapshot.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreBytes)] =
+  into.counters[static_cast<std::size_t>(Counter::kSvcGraphStoreEvictions)] =
+      graphs.evictions;
+  into.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreBytes)] =
       static_cast<std::int64_t>(graphs.bytes);
-  snapshot.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
+  into.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
       static_cast<std::int64_t>(graphs.entries);
+}
+
+TrialMetrics Service::metrics_snapshot() const {
+  TrialMetrics snapshot = metrics_;
+  mirror_store_stats(snapshot);
   return snapshot;
 }
 
-void Service::record_slow(const Pending& entry, double total_seconds) {
-  if (options_.slow_ms < 0) return;
-  if (total_seconds * 1000.0 < options_.slow_ms) return;
-  // Same deterministic stride-doubling decimation as the convergence
-  // trace: which offered samples are kept depends only on the offered
-  // sequence (and at --slow-ms 0 every finalized request is offered).
-  const std::uint64_t ordinal = slow_ordinal_++;
-  if (ordinal % slow_stride_ != 0) return;
-  if (slow_samples_.size() >= options_.slow_capacity) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < slow_samples_.size(); i += 2) {
-      // Guard i == kept: self-move-assignment would gut the strings.
-      if (i != kept) slow_samples_[kept] = std::move(slow_samples_[i]);
-      ++kept;
-    }
-    slow_samples_.resize(kept);
-    slow_stride_ *= 2;
-    if (ordinal % slow_stride_ != 0) return;
+void Service::finalize_telemetry(Pending& entry, double now_seconds) {
+  // Close out the span set: the worker's solve sub-spans (leaders
+  // only) merge here on the dispatch thread in arrival order, then the
+  // finalize/write bookends.
+  for (SpanRec& span : entry.worker_spans) {
+    entry.spans.push_back(std::move(span));
   }
-  SvcSlowSample sample;
-  sample.seq = entry.seq;
-  sample.id = entry.request.id;
-  if (entry.request.op == SvcRequest::Op::kSolve) {
-    sample.method = entry.request.method;
-  }
-  sample.cache = entry.response.cache;
-  sample.status = entry.response.ok ? "ok" : "error";
-  sample.submit_seconds = entry.submit_seconds;
-  sample.queue_seconds = entry.dispatch_seconds - entry.submit_seconds;
-  sample.solve_start_seconds = entry.solve_start_seconds;
-  sample.solve_seconds = entry.solve_seconds;
-  sample.total_seconds = total_seconds;
-  slow_samples_.push_back(std::move(sample));
+  entry.worker_spans.clear();
+  entry.mark("finalize", now_seconds);
+  entry.mark("write", clock_.elapsed_seconds());
+  finish_request(entry, entry.response.ok ? "ok" : "error", now_seconds);
 }
 
-void Service::finalize_telemetry(Pending& entry, double now_seconds) {
-  const double total = now_seconds - entry.submit_seconds;
-  const double queue_wait = entry.dispatch_seconds - entry.submit_seconds;
-  metrics_.hists[static_cast<std::size_t>(Hist::kSvcRequestLatencyUs)]
-      .observe(to_us(total));
-  metrics_.hists[static_cast<std::size_t>(Hist::kSvcQueueWaitUs)].observe(
-      to_us(queue_wait));
-  request_exemplars_.offer(to_us(total), entry.trace_id);
-  queue_exemplars_.offer(to_us(queue_wait), entry.trace_id);
-  if (entry.cold) {
-    metrics_.hists[static_cast<std::size_t>(Hist::kSvcSolveLatencyUs)]
-        .observe(to_us(entry.solve_seconds));
-    solve_exemplars_.offer(to_us(entry.solve_seconds), entry.trace_id);
+void Service::finish_request(Pending& entry, const char* status,
+                             double end_seconds) {
+  // Every duration comes from the span set; a request that never
+  // queued or ran no cold solve has no such span and reads 0.
+  const SpanRec* queue = find_span(entry.spans, "queue");
+  const SpanRec* solve = find_span(entry.spans, "solve");
+  const std::uint64_t queue_us =
+      queue != nullptr ? to_us(queue->duration_seconds) : 0;
+  const std::uint64_t solve_us =
+      solve != nullptr ? to_us(solve->duration_seconds) : 0;
+  const std::uint64_t total_us =
+      to_us(end_seconds - entry.spans.front().start_seconds);
+  if (queue != nullptr) {
+    // The latency histograms cover admitted requests only: a queue-full
+    // rejection never queued and records none.
+    metrics_.hists[static_cast<std::size_t>(Hist::kSvcRequestLatencyUs)]
+        .observe(total_us);
+    metrics_.hists[static_cast<std::size_t>(Hist::kSvcQueueWaitUs)].observe(
+        queue_us);
+    request_exemplars_.offer(total_us, entry.trace_id);
+    queue_exemplars_.offer(queue_us, entry.trace_id);
+    if (entry.cold) {
+      metrics_.hists[static_cast<std::size_t>(Hist::kSvcSolveLatencyUs)]
+          .observe(solve_us);
+      solve_exemplars_.offer(solve_us, entry.trace_id);
+    }
   }
   if (access_log_ != nullptr) {
     AccessEntry logged;
     logged.seq = entry.seq;
     logged.id = entry.request.id;
     logged.op = op_name(entry.request.op);
-    logged.status = entry.response.ok ? "ok" : "error";
+    logged.status = status;
     logged.trace = entry.trace_id;
     logged.has_trace = true;
     logged.cache = entry.response.cache;
@@ -1118,25 +1096,15 @@ void Service::finalize_telemetry(Pending& entry, double now_seconds) {
       // The access log keeps the full failure text the wire hides.
       logged.error += " (" + entry.internal_detail + ")";
     }
-    logged.t_queue_us = to_us(queue_wait);
-    logged.t_solve_us = to_us(entry.solve_seconds);
-    logged.t_total_us = to_us(total);
+    logged.t_queue_us = queue_us;
+    logged.t_solve_us = solve_us;
+    logged.t_total_us = total_us;
     access_log_->append(logged);
   }
-  record_slow(entry, total);
-  // Close out the span set: the worker's solve sub-spans (leaders
-  // only) merge here on the dispatch thread in arrival order, then the
-  // finalize/write bookends. The completed set replaces the in-flight
-  // record in the flight ring.
-  for (SpanRec& span : entry.worker_spans) {
-    entry.spans.push_back(std::move(span));
-  }
-  entry.worker_spans.clear();
-  entry.mark("finalize", now_seconds);
-  entry.mark("write", clock_.elapsed_seconds());
+  // The completed set replaces the in-flight record in the flight ring.
   metrics_.counters[static_cast<std::size_t>(Counter::kSvcTraceSpans)] +=
       entry.spans.size();
-  flight_->complete(entry.span_set(entry.response.ok ? "ok" : "error"));
+  flight_->complete(entry.span_set(status));
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcFlightRing)] =
       static_cast<std::int64_t>(flight_->completed().size());
 }
@@ -1162,7 +1130,6 @@ void Service::process_batch(std::vector<std::string>& out,
       static_cast<std::int64_t>(queue_.size());
   const double dispatch_seconds = clock_.elapsed_seconds();
   for (auto& entry : queue_) {
-    entry->dispatch_seconds = dispatch_seconds;
     SpanRec queued;
     queued.name = "queue";
     queued.start_seconds = entry->submit_seconds;
@@ -1176,32 +1143,27 @@ void Service::process_batch(std::vector<std::string>& out,
   std::vector<std::size_t> cold_queue_index;  // queue slots of cold leaders
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     Pending& entry = *queue_[i];
-    if (entry.done) continue;
-    if (entry.request.op == SvcRequest::Op::kMutate) {
-      // Mutations complete entirely in phase 1, so a later request in
-      // the same batch can already solve the child by fingerprint.
-      if (stopping) {
-        entry.response.id = entry.request.id;
-        entry.response.ok = false;
-        entry.response.error = "shutdown: request drained before any trial ran";
-        entry.done = true;
-      } else {
-        SpanRec mutate_span;
-        mutate_span.name = "mutate";
-        mutate_span.start_seconds = clock_.elapsed_seconds();
-        prepare_mutate(entry);
-        mutate_span.duration_seconds =
-            clock_.elapsed_seconds() - mutate_span.start_seconds;
-        entry.spans.push_back(std::move(mutate_span));
-      }
+    const bool mutate = entry.request.op == SvcRequest::Op::kMutate;
+    if (entry.done || (!mutate && entry.request.op != SvcRequest::Op::kSolve)) {
       continue;
     }
-    if (entry.request.op != SvcRequest::Op::kSolve) continue;
     if (stopping) {
       entry.response.id = entry.request.id;
       entry.response.ok = false;
       entry.response.error = "shutdown: request drained before any trial ran";
       entry.done = true;
+      continue;
+    }
+    if (mutate) {
+      // Mutations complete entirely in phase 1, so a later request in
+      // the same batch can already solve the child by fingerprint.
+      SpanRec mutate_span;
+      mutate_span.name = "mutate";
+      mutate_span.start_seconds = clock_.elapsed_seconds();
+      prepare_mutate(entry);
+      mutate_span.duration_seconds =
+          clock_.elapsed_seconds() - mutate_span.start_seconds;
+      entry.spans.push_back(std::move(mutate_span));
       continue;
     }
     SpanRec lookup;
@@ -1241,7 +1203,7 @@ void Service::process_batch(std::vector<std::string>& out,
         cold_queue_index.size(),
         [&](std::size_t j) {
           Pending& entry = *queue_[cold_queue_index[j]];
-          entry.solve_start_seconds = clock_.elapsed_seconds();
+          const double solve_start = clock_.elapsed_seconds();
           // One deadline for the whole solve: the fault sites, the warm
           // refine and a guardrail fallback to the cold policy all
           // spend the same request budget.
@@ -1309,12 +1271,10 @@ void Service::process_batch(std::vector<std::string>& out,
               entry.worker_spans[k].start_seconds += policy_start;
             }
           }
-          entry.solve_seconds =
-              clock_.elapsed_seconds() - entry.solve_start_seconds;
           SpanRec solve_span;
           solve_span.name = "solve";
-          solve_span.start_seconds = entry.solve_start_seconds;
-          solve_span.duration_seconds = entry.solve_seconds;
+          solve_span.start_seconds = solve_start;
+          solve_span.duration_seconds = clock_.elapsed_seconds() - solve_start;
           entry.worker_spans.insert(entry.worker_spans.begin(),
                                     std::move(solve_span));
         },
@@ -1414,24 +1374,7 @@ void Service::process_batch(std::vector<std::string>& out,
     }
   }
 
-  // Mirror the cache's own monotone counters into the obs catalog
-  // (absolute assignment: both sides count service lifetime).
-  const SvcCacheStats& cache = cache_.stats();
-  metrics_.counters[static_cast<std::size_t>(Counter::kSvcCacheHits)] =
-      cache.hits;
-  metrics_.counters[static_cast<std::size_t>(Counter::kSvcCacheMisses)] =
-      cache.misses;
-  metrics_.counters[static_cast<std::size_t>(Counter::kSvcCacheEvictions)] =
-      cache.evictions;
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcCacheBytes)] =
-      static_cast<std::int64_t>(cache.bytes);
-  const GraphStoreStats& graphs = graph_store_.stats();
-  metrics_.counters[static_cast<std::size_t>(Counter::kSvcGraphStoreEvictions)] =
-      graphs.evictions;
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreBytes)] =
-      static_cast<std::int64_t>(graphs.bytes);
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
-      static_cast<std::int64_t>(graphs.entries);
+  mirror_store_stats(metrics_);
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcQueueDepth)] = 0;
   metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcInflight)] = 0;
 }

@@ -39,7 +39,6 @@
 #include "gbis/harness/timer.hpp"
 #include "gbis/obs/flight_recorder.hpp"
 #include "gbis/obs/metrics.hpp"
-#include "gbis/obs/trace_export.hpp"
 #include "gbis/svc/access_log.hpp"
 #include "gbis/svc/cache.hpp"
 #include "gbis/svc/cache_store.hpp"
@@ -86,14 +85,10 @@ struct SvcOptions {
   std::string flight_file;
   /// Completed span sets held by the flight recorder's ring.
   std::uint32_t flight_ring = 64;
-  /// Slow-request sampling threshold in milliseconds: requests whose
-  /// total latency reaches it are recorded as SvcSlowSamples for the
-  /// Chrome trace. < 0 disables sampling; 0 samples every request
-  /// (which is what makes the sampled *set* testable — see
-  /// docs/SERVICE.md).
+  /// Trace-export duration filter in milliseconds (`--slow-ms`):
+  /// write_trace keeps a completed span set only if its accept -> write
+  /// time reaches it. < 0 (unset) keeps every set.
   double slow_ms = -1;
-  /// Slow samples held before stride-doubling decimation kicks in.
-  std::uint32_t slow_capacity = 128;
   /// Durable result-cache journal path (svc/cache_store); "" = the
   /// cache is memory-only. A warm restart replays the journal before
   /// the first request, so repeats of pre-crash solves answer as hits
@@ -196,11 +191,6 @@ class Service {
   /// fresh, which is what the prom exposition and stats op use.
   const TrialMetrics& metrics() const { return metrics_; }
   TrialMetrics metrics_snapshot() const;
-  /// Slow requests sampled so far (options().slow_ms >= 0); feed to
-  /// write_svc_trace.
-  const std::vector<SvcSlowSample>& slow_samples() const {
-    return slow_samples_;
-  }
   /// False when the configured access log could not be opened.
   bool access_log_ok() const;
   /// False when the configured cache journal could not be opened for
@@ -219,6 +209,9 @@ class Service {
   /// what the stats op's "prom" format and the CLI --stats-file
   /// snapshot both emit.
   void write_prom(std::ostream& out) const;
+  /// Chrome trace of the flight recorder's completed span sets, those
+  /// shorter than options().slow_ms left out — the serve trace.json.
+  void write_trace(std::ostream& out) const;
 
   /// Listener hooks (svc/listener.*). Single-driver like everything
   /// else here: the listener event loop runs on the same thread that
@@ -252,7 +245,15 @@ class Service {
   /// a "trace" id) or the whole completed ring.
   void fill_trace(Pending& entry);
   void finalize_telemetry(Pending& entry, double now_seconds);
-  void record_slow(const Pending& entry, double total_seconds);
+  /// The one exit of a request record, from phase 3 or a queue-full
+  /// rejection: reads the timings from the span set (queue span, solve
+  /// span, accept -> `end_seconds`), feeds the latency histograms,
+  /// appends the access-log line and completes the set into the
+  /// flight ring under `status`.
+  void finish_request(Pending& entry, const char* status, double end_seconds);
+  /// Mirrors the cache's and graph store's own monotone counters and
+  /// gauges into `into` (absolute: both sides count service lifetime).
+  void mirror_store_stats(TrialMetrics& into) const;
   static void fill_from_value(SvcResponse& response, const SvcCacheValue& value,
                               bool want_sides);
 
@@ -275,11 +276,8 @@ class Service {
   HistExemplars request_exemplars_;
   HistExemplars solve_exemplars_;
   HistExemplars queue_exemplars_;
-  std::vector<SvcSlowSample> slow_samples_;
   WallTimer clock_;               ///< service epoch for all timings
   std::uint64_t next_seq_ = 0;    ///< request ordinal (access-log "seq")
-  std::uint64_t slow_ordinal_ = 0;  ///< slow samples offered so far
-  std::uint64_t slow_stride_ = 1;   ///< keep every stride-th slow sample
   std::uint64_t batch_ordinal_ = 0;  ///< non-empty batches dispatched
   std::uint64_t cold_ordinal_ = 0;   ///< cold solves started (leaders)
   // Brownout controller state: the current rung plus a sliding window

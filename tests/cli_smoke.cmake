@@ -235,6 +235,36 @@ if(NOT code EQUAL 2)
   message(FATAL_ERROR "negative --slow-ms exited ${code}, expected 2")
 endif()
 
+# Serve trace.json: a --trace-dir run always writes the flight ring's
+# completed span sets through the shared Chrome writer — one "request"
+# event per request, each followed by its spans — and no spans.json.
+# --slow-ms only filters the sets by their accept -> write time.
+file(REMOVE_RECURSE ${WORK_DIR}/svc_trace)
+run(--trace-dir ${WORK_DIR}/svc_trace serve --replay ${WORK_DIR}/telem.ndjson)
+file(READ ${WORK_DIR}/svc_trace/trace.json svc_trace)
+string(JSON svc_events LENGTH "${svc_trace}" traceEvents)  # must parse
+string(REGEX MATCHALL "\"cat\":\"request\"" svc_requests "${svc_trace}")
+list(LENGTH svc_requests svc_requests)
+if(NOT svc_requests EQUAL 4)
+  message(FATAL_ERROR
+    "serve trace.json has ${svc_requests} request events, expected 4:\n"
+    "${svc_trace}")
+endif()
+if(NOT svc_trace MATCHES "\"name\":\"solve\",\"cat\":\"span\"")
+  message(FATAL_ERROR "serve trace.json lacks solve spans: ${svc_trace}")
+endif()
+if(EXISTS ${WORK_DIR}/svc_trace/spans.json)
+  message(FATAL_ERROR "serve --trace-dir still writes spans.json")
+endif()
+run(--trace-dir ${WORK_DIR}/svc_trace serve --replay ${WORK_DIR}/telem.ndjson
+    --slow-ms 1000000)
+file(READ ${WORK_DIR}/svc_trace/trace.json svc_trace)
+string(JSON svc_events LENGTH "${svc_trace}" traceEvents)
+if(NOT svc_events EQUAL 0)
+  message(FATAL_ERROR
+    "--slow-ms 1000000 kept ${svc_events} trace events: ${svc_trace}")
+endif()
+
 # Crash-safety chaos: the service fault plan SIGKILLs the server at
 # the third dispatched batch (crash@batch:2), after two batches of
 # responses — and their cache-journal entries — are already flushed. A

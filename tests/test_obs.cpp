@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -360,50 +361,89 @@ TEST(MetricsJson, CarriesGaugesBlock) {
   check_balanced_json(json);
 }
 
-// --- Service slow-request trace --------------------------------------------
+// --- Serve Chrome trace from span sets --------------------------------------
 
-TEST(SvcTrace, EmitsRequestSpansWithPhaseSubSpans) {
-  std::vector<SvcSlowSample> samples;
-  SvcSlowSample s;
-  s.seq = 3;
-  s.id = "req-a";
-  s.method = "kl";
-  s.cache = "miss";
-  s.status = "ok";
-  s.submit_seconds = 0.010;
-  s.queue_seconds = 0.002;
-  s.solve_start_seconds = 0.012;
-  s.solve_seconds = 0.005;
-  s.total_seconds = 0.008;
-  samples.push_back(s);
-  SvcSlowSample hit;  // cache hit: no solve span
-  hit.seq = 4;
-  hit.id = "req-b";
-  hit.cache = "hit";
-  hit.status = "ok";
-  hit.submit_seconds = 0.020;
-  hit.queue_seconds = 0.001;
-  hit.total_seconds = 0.0015;
-  samples.push_back(hit);
+// A completed set lasting `seconds` from accept to write, with one
+// solve span and one kl.pass sub-span (step and cut payloads).
+SpanSet timed_set(std::uint64_t seq, std::string id, double start,
+                  double seconds) {
+  SpanSet set;
+  set.trace_id = 0xab00 + seq;
+  set.seq = seq;
+  set.id = std::move(id);
+  set.op = "solve";
+  set.status = "ok";
+  const auto span = [&](const char* name, double at, double dur) {
+    SpanRec rec;
+    rec.name = name;
+    rec.start_seconds = at;
+    rec.duration_seconds = dur;
+    set.spans.push_back(rec);
+    return &set.spans.back();
+  };
+  span("accept", start, 0);
+  span("solve", start + 0.0002, seconds - 0.0004);
+  SpanRec* pass = span("kl.pass", start + 0.0003, 0.0001);
+  pass->step = 1;
+  pass->has_step = true;
+  pass->value = 12;
+  pass->has_value = true;
+  span("write", start + seconds, 0);
+  return set;
+}
 
-  std::ostringstream out;
-  write_svc_trace(out, samples);
-  const std::string text = out.str();
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(SpanTrace, RequestEventLeadsEachSetAndTheFilterDropsShortSets) {
+  std::deque<SpanSet> sets;
+  sets.push_back(timed_set(3, "slow \"a\"", 0.010, 0.006));  // 6 ms
+  sets.push_back(timed_set(4, "", 0.020, 0.001));             // 1 ms
+
+  std::ostringstream all;
+  write_span_trace(all, sets, -1);  // unset filter: every set
+  const std::string text = all.str();
   EXPECT_EQ(text.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
             0u);
   check_balanced_json(text);
-  EXPECT_NE(text.find("\"name\":\"req 3 req-a\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"req 4 req-b\""), std::string::npos);
-  EXPECT_NE(text.find("\"cat\":\"svc_phase\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"queue\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"solve\""), std::string::npos);
-  // The hit never solved, so exactly one solve sub-span in the file.
-  const std::size_t first = text.find("\"name\":\"solve\"");
-  EXPECT_EQ(text.find("\"name\":\"solve\"", first + 1), std::string::npos);
+  EXPECT_EQ(count_of(text, "\"cat\":\"request\""), 2u);
+  EXPECT_EQ(count_of(text, "\"cat\":\"span\""), 8u);
+  // The request event carries the set's identity (the id escaped by
+  // the shared JSON writer) and leads that set's spans.
+  const std::size_t request = text.find(
+      "\"args\":{\"trace\":\"000000000000ab03\",\"seq\":3,"
+      "\"id\":\"slow \\\"a\\\"\",\"op\":\"solve\",\"status\":\"ok\"}");
+  ASSERT_NE(request, std::string::npos) << text;
+  EXPECT_NE(text.find("\"name\":\"req 3 slow \\\"a\\\"\""), std::string::npos);
+  const std::size_t pass = text.find(
+      "\"name\":\"kl.pass\",\"cat\":\"span\"");
+  ASSERT_NE(pass, std::string::npos);
+  EXPECT_LT(request, pass);
+  EXPECT_NE(text.find("\"args\":{\"trace\":\"000000000000ab03\",\"seq\":3,"
+                      "\"step\":1,\"cut\":12}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"req 4\""), std::string::npos);
+
+  // A 2 ms filter keeps the 6 ms set and drops the 1 ms one.
+  std::ostringstream filtered;
+  write_span_trace(filtered, sets, 2.0);
+  const std::string kept = filtered.str();
+  check_balanced_json(kept);
+  EXPECT_EQ(count_of(kept, "\"cat\":\"request\""), 1u);
+  EXPECT_EQ(count_of(kept, "\"cat\":\"span\""), 4u);
+  EXPECT_NE(kept.find("\"seq\":3"), std::string::npos);
+  EXPECT_EQ(kept.find("\"seq\":4"), std::string::npos);
 
   std::ostringstream empty;
-  write_svc_trace(empty, {});
+  write_span_trace(empty, {}, -1);
   check_balanced_json(empty.str());
+  EXPECT_EQ(empty.str().find("\"cat\""), std::string::npos);
 }
 
 // --- Collection through the trial runner -----------------------------------

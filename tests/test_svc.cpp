@@ -863,46 +863,72 @@ TEST(Service, AccessLogIsThreadCountInvariantAfterTimingStrip) {
   EXPECT_NE(one.find("\"fingerprint\":"), std::string::npos);
 }
 
-TEST(Service, SlowSamplingKeepsADeterministicBoundedSubset) {
+// The span set is the one per-request record: every access-log timing
+// is read from it — the queue span, the solve span, accept -> finalize.
+TEST(Service, AccessLogTimingsAreTheSpanSetDurations) {
   const Graph g = make_grid(6, 6);
-  const auto seqs_at = [&](unsigned threads) {
-    SvcOptions options = test_options(threads);
-    options.slow_ms = 0;  // sample every request: the set is testable
-    options.slow_capacity = 4;
-    Service service(options);
-    std::vector<std::string> out;
-    for (int i = 0; i < 10; ++i) {
-      // Distinct seeds: ten cold solves, no coalescing.
-      service.submit_line(
-          solve_line("r" + std::to_string(i), g,
-                     ",\"seed\":" + std::to_string(100 + i)),
-          out);
-    }
-    service.drain(out);
-    EXPECT_LE(service.slow_samples().size(), 4u);
-    std::vector<std::uint64_t> seqs;
-    for (const SvcSlowSample& sample : service.slow_samples()) {
-      seqs.push_back(sample.seq);
-      EXPECT_EQ(sample.status, "ok");
-    }
-    return seqs;
-  };
-  const auto one = seqs_at(1);
-  const auto eight = seqs_at(8);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(one, eight);  // which requests survive is seq-determined
-  for (std::size_t i = 1; i < one.size(); ++i) {
-    EXPECT_LT(one[i - 1], one[i]);
-  }
-}
-
-TEST(Service, NegativeSlowMsDisablesSampling) {
-  const Graph g = make_grid(4, 4);
-  Service service(test_options());  // slow_ms default -1
+  const std::string path = testing::TempDir() + "svc_access_spans.jsonl";
+  std::remove(path.c_str());
+  SvcOptions options = test_options();
+  options.faults = SvcFaultPlan::parse("throw@solve:0");
+  options.access_log_path = path;
+  Service service(options);
   std::vector<std::string> out;
-  service.submit_line(solve_line("a", g), out);
+  service.submit_line(solve_line("f", g), out);  // cold leader, job throws
+  service.submit_line(solve_line("a", g, ",\"seed\":9"), out);  // cold
+  service.submit_line(solve_line("b", g, ",\"seed\":9"), out);  // coalesced
+  service.process_batch(out);
+  service.submit_line(solve_line("h", g, ",\"seed\":9"), out);  // cache hit
+  service.submit_line("{\"id\":\"s\",\"op\":\"stats\"}", out);
   service.drain(out);
-  EXPECT_TRUE(service.slow_samples().empty());
+  ASSERT_EQ(out.size(), 5u);
+  std::string text;
+  ASSERT_TRUE(json_parse_string(out[0], "error", text));
+  EXPECT_EQ(text, "internal: solve failed");
+  for (const auto& [index, cache] :
+       {std::pair{1, "miss"}, {2, "coalesced"}, {3, "hit"}}) {
+    ASSERT_TRUE(json_parse_string(out[index], "cache", text)) << out[index];
+    EXPECT_EQ(text, cache);
+  }
+  // Both cold leaders count, the one whose job threw included (it
+  // never closed a solve span, so it records 0).
+  std::uint64_t solves = 0;
+  ASSERT_TRUE(json_parse_u64(out[4], "solve_latency_count", solves));
+  EXPECT_EQ(solves, 2u);
+
+  std::istringstream log(read_file(path));
+  std::size_t lines = 0;
+  for (std::string line; std::getline(log, line); ++lines) {
+    std::string trace;
+    ASSERT_TRUE(json_parse_string(line, "trace", trace)) << line;
+    const SpanSet* set = nullptr;
+    for (const SpanSet& done : service.flight().completed()) {
+      if (to_hex16(done.trace_id) == trace) set = &done;
+    }
+    ASSERT_NE(set, nullptr) << line;
+    double queue = 0, solve = 0, accept = 0, finalize = 0;
+    for (const SpanRec& span : set->spans) {
+      if (span.name == "queue") queue = span.duration_seconds;
+      if (span.name == "solve") solve = span.duration_seconds;
+      if (span.name == "accept") accept = span.start_seconds;
+      if (span.name == "finalize") finalize = span.start_seconds;
+    }
+    std::uint64_t t_queue = 0, t_solve = 0, t_total = 0;
+    ASSERT_TRUE(json_parse_u64(line, "t_queue_us", t_queue));
+    ASSERT_TRUE(json_parse_u64(line, "t_solve_us", t_solve));
+    ASSERT_TRUE(json_parse_u64(line, "t_total_us", t_total));
+    EXPECT_EQ(t_queue, to_us(queue)) << line;
+    EXPECT_EQ(t_solve, to_us(solve)) << line;
+    EXPECT_EQ(t_total, to_us(finalize - accept)) << line;
+    std::string id;
+    ASSERT_TRUE(json_parse_string(line, "id", id));
+    if (id == "a") {
+      EXPECT_GT(t_solve, 0u);
+    } else if (id != "s") {
+      EXPECT_EQ(t_solve, 0u);  // f threw, b coalesced, h hit the cache
+    }
+  }
+  EXPECT_EQ(lines, 5u);
 }
 
 TEST(SvcOptionsEnv, OverlaysTelemetryKnobsAndKeepsDefaultsOnMalformed) {

@@ -66,7 +66,6 @@
 #include "gbis/partition/metrics.hpp"
 #include "gbis/obs/progress.hpp"
 #include "gbis/obs/prom_export.hpp"
-#include "gbis/obs/span.hpp"
 #include "gbis/rng/rng.hpp"
 #include "gbis/svc/listener.hpp"
 #include "gbis/svc/scheduler.hpp"
@@ -150,9 +149,10 @@ void print_help(std::ostream& out) {
          "                     spans to F as JSONL (env GBIS_SVC_FLIGHT)\n"
          "      --flight-ring N completed span sets the recorder retains\n"
          "                     (64; env GBIS_SVC_FLIGHT_RING)\n"
-         "      --slow-ms M    sample requests slower than M ms into\n"
-         "                     <trace-dir>/trace.json (0 = all; env\n"
-         "                     GBIS_SVC_SLOW_MS, flag wins)\n"
+         "      --slow-ms M    keep only requests of at least M ms in\n"
+         "                     <trace-dir>/trace.json (default: all the\n"
+         "                     flight ring holds; env GBIS_SVC_SLOW_MS,\n"
+         "                     flag wins)\n"
          "      --stats-file F republish a Prometheus text exposition\n"
          "                     to F (atomic rename), plus once at exit\n"
          "      --stats-interval S  seconds between republishes (10)\n"
@@ -793,9 +793,10 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
   }
   if (meter != nullptr) meter->finish();
   write_stats_snapshot();
-  // Slow-request samples go to the same trace.json slot the campaign
-  // exporter uses (the two modes never share a --trace-dir run).
-  if (options.slow_ms >= 0 && !obs.trace_dir.empty()) {
+  // The flight ring's completed span sets go to the same trace.json
+  // slot the campaign exporter uses (the two modes never share a
+  // --trace-dir run).
+  if (!obs.trace_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(obs.trace_dir, ec);
     if (ec) {
@@ -806,18 +807,9 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
         (std::filesystem::path(obs.trace_dir) / "trace.json").string();
     std::ofstream out(path, std::ios::trunc);
     if (!out) throw IoError("serve: cannot open " + path);
-    write_svc_trace(out, service.slow_samples());
+    service.write_trace(out);
     out.flush();
     if (!out) throw IoError("serve: trace write failed: " + path);
-    // Companion span dump: the flight ring's completed sets as Chrome
-    // trace events (spans.json next to trace.json).
-    const std::string spans_path =
-        (std::filesystem::path(obs.trace_dir) / "spans.json").string();
-    std::ofstream spans_out(spans_path, std::ios::trunc);
-    if (!spans_out) throw IoError("serve: cannot open " + spans_path);
-    write_span_chrome_trace(spans_out, service.flight().completed());
-    spans_out.flush();
-    if (!spans_out) throw IoError("serve: trace write failed: " + spans_path);
   }
   return stop.load(std::memory_order_acquire) ? kExitInterrupted : kExitOk;
 }

@@ -7,12 +7,15 @@
 //   ...
 // Vertex weights, when any differ from 1, are written as lines
 //   v <vertex> <weight>
-// after the header and before the edges. Parsers reject malformed
-// input with std::runtime_error carrying a line number.
+// after the header and before the edges. Readers reject malformed
+// input with IoError (io/io_error.hpp, a std::runtime_error) carrying
+// a line number. Tokens are read as `std::istream >>` reads them in
+// the C locale; docs/FORMATS.md has the rules.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "gbis/graph/graph.hpp"
 
@@ -25,13 +28,16 @@ void write_edge_list(std::ostream& out, const Graph& g);
 /// opened.
 void write_edge_list_file(const std::string& path, const Graph& g);
 
-/// Parses a graph from edge-list format. Throws std::runtime_error on
-/// malformed input (bad header, out-of-range endpoints, self-loops,
-/// non-positive weights, trailing garbage).
+/// Parses a graph from edge-list text in place, one pass over the
+/// bytes. Throws IoError on malformed input (bad header, out-of-range
+/// endpoints, self-loops, non-positive weights, trailing garbage).
+Graph read_edge_list(std::string_view text);
+
+/// Reads the rest of `in` into memory and parses it as above.
 Graph read_edge_list(std::istream& in);
 
-/// Reads a graph from a file; throws std::runtime_error on open failure
-/// or malformed content.
+/// Reads a graph from a file; throws IoError on open failure or
+/// malformed content.
 Graph read_edge_list_file(const std::string& path);
 
 }  // namespace gbis

@@ -8,33 +8,25 @@ namespace {
 
 // Rows are indexed by the Method enum value — keep both in lockstep
 // (method_registry() asserts the correspondence in debug builds).
-// relative_cost calibration notes: CKL/CSA amortize their refinement
-// over the compacted graph, path-opt costs about one KL run's passes
-// with cheaper per-step work, SA dominates everything.
 constexpr std::array<MethodInfo, 12> kRegistry = {{
-    {Method::kKl, "kl", "KL", QualityTier::kBest, 1.0,
-     Counter::kSvcSolveByKl},
-    {Method::kSa, "sa", "SA", QualityTier::kBest, 8.0,
-     Counter::kSvcSolveBySa},
-    {Method::kCkl, "ckl", "CKL", QualityTier::kBalanced, 0.6,
+    {Method::kKl, "kl", "KL", QualityTier::kBest, Counter::kSvcSolveByKl},
+    {Method::kSa, "sa", "SA", QualityTier::kBest, Counter::kSvcSolveBySa},
+    {Method::kCkl, "ckl", "CKL", QualityTier::kBalanced,
      Counter::kSvcSolveByCkl},
-    {Method::kCsa, "csa", "CSA", QualityTier::kBest, 4.0,
-     Counter::kSvcSolveByCsa},
-    {Method::kFm, "fm", "FM", QualityTier::kBest, 0.8,
-     Counter::kSvcSolveByOther},
-    {Method::kCfm, "cfm", "CFM", QualityTier::kBest, 0.5,
-     Counter::kSvcSolveByOther},
-    {Method::kMultilevelKl, "mlkl", "MLKL", QualityTier::kBalanced, 1.5,
+    {Method::kCsa, "csa", "CSA", QualityTier::kBest, Counter::kSvcSolveByCsa},
+    {Method::kFm, "fm", "FM", QualityTier::kBest, Counter::kSvcSolveByOther},
+    {Method::kCfm, "cfm", "CFM", QualityTier::kBest, Counter::kSvcSolveByOther},
+    {Method::kMultilevelKl, "mlkl", "MLKL", QualityTier::kBalanced,
      Counter::kSvcSolveByMlkl},
-    {Method::kGreedy, "greedy", "Greedy", QualityTier::kFast, 0.05,
+    {Method::kGreedy, "greedy", "Greedy", QualityTier::kFast,
      Counter::kSvcSolveByOther},
-    {Method::kSpectral, "spectral", "Spectral", QualityTier::kBest, 0.5,
+    {Method::kSpectral, "spectral", "Spectral", QualityTier::kBest,
      Counter::kSvcSolveByOther},
-    {Method::kRandom, "random", "Random", QualityTier::kFast, 0.02,
+    {Method::kRandom, "random", "Random", QualityTier::kFast,
      Counter::kSvcSolveByOther},
-    {Method::kPathOpt, "path", "PO", QualityTier::kBalanced, 0.7,
+    {Method::kPathOpt, "path", "PO", QualityTier::kBalanced,
      Counter::kSvcSolveByPath},
-    {Method::kGreedyHc, "greedy_hc", "GreedyHC", QualityTier::kFast, 0.1,
+    {Method::kGreedyHc, "greedy_hc", "GreedyHC", QualityTier::kFast,
      Counter::kSvcSolveByGreedyHc},
 }};
 

@@ -1,11 +1,11 @@
 // Method registry: every solver the harness can run, described as
-// data — scripting/display names, the quality tier it serves, a rough
-// cost model, and the per-method service counter — instead of
-// hard-coded switch branches scattered across the CLI, the policy,
-// and the experiment drivers. `harness/runner` name lookups,
-// `svc/policy`'s ladder portfolios, and the stats/Prometheus
-// `solve_by_method` surface all read this one table, so adding a
-// method is one row here plus its `run_one_start` case.
+// data — scripting/display names, the quality tier it serves, and the
+// per-method service counter — instead of hard-coded switch branches
+// scattered across the CLI, the policy, and the experiment drivers.
+// `harness/runner` name lookups, `svc/policy`'s ladder portfolios, and
+// the stats/Prometheus `solve_by_method` surface all read this one
+// table, so adding a method is one row here plus its `run_one_start`
+// case.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +41,6 @@ struct MethodInfo {
   const char* display_name = "";  ///< table/response name ("KL", "PO", ...)
   /// Cheapest ladder rung whose portfolio races this method.
   QualityTier tier = QualityTier::kBest;
-  /// Advisory cost model: rough per-trial cost relative to one
-  /// two-start KL run on the same graph (measured on the EXPERIMENTS.md
-  /// classes; bench/svc_throughput prices the rungs end to end).
-  double relative_cost = 1.0;
   /// Service counter bumped when this method wins an ok cold solve
   /// ("svc.solve_by.*"; methods outside the ladder share
   /// kSvcSolveByOther).

@@ -11,11 +11,12 @@ namespace {
 /// Parses the graph reference shared by solve ("graph") and mutate
 /// ("parent"): a to_hex16 fingerprint string. False only on a
 /// present-but-invalid value; absence leaves `out` untouched.
-bool parse_fingerprint_field(const std::string& line, const std::string& key,
-                             SvcRequest& out, std::string& error) {
-  if (json_find_value(line, key) == std::string::npos) return true;
+bool parse_fingerprint_field(const JsonFieldIndex& fields,
+                             const std::string& key, SvcRequest& out,
+                             std::string& error) {
+  if (!fields.has(key)) return true;
   std::string hex;
-  if (!json_parse_string(line, key, hex) ||
+  if (!fields.parse_string(key, hex) ||
       !parse_hex16(hex, out.fingerprint)) {
     error = "parse: \"" + key + "\" must be a 16-digit hex fingerprint";
     return false;
@@ -26,10 +27,10 @@ bool parse_fingerprint_field(const std::string& line, const std::string& key,
 
 /// Parses one optional edit array. False on a present-but-invalid
 /// value (wrong type, bad element, over the length cap).
-bool parse_edit_array(const std::string& line, const std::string& key,
+bool parse_edit_array(const JsonFieldIndex& fields, const std::string& key,
                       std::vector<std::uint64_t>& out, std::string& error) {
-  if (json_find_value(line, key) == std::string::npos) return true;
-  if (!json_parse_u64_array(line, key, out, kMaxEditElements)) {
+  if (!fields.has(key)) return true;
+  if (!fields.parse_u64_array(key, out, kMaxEditElements)) {
     error = "parse: \"" + key + "\" must be an array of at most " +
             std::to_string(kMaxEditElements) + " non-negative integers";
     return false;
@@ -37,7 +38,7 @@ bool parse_edit_array(const std::string& line, const std::string& key,
   return true;
 }
 
-bool parse_mutate_fields(const std::string& line, SvcRequest& out,
+bool parse_mutate_fields(const JsonFieldIndex& fields, SvcRequest& out,
                          std::string& error) {
   const int payloads = (out.path.empty() ? 0 : 1) +
                        (out.inline_graph.empty() ? 0 : 1) +
@@ -49,9 +50,10 @@ bool parse_mutate_fields(const std::string& line, SvcRequest& out,
                 : "parse: mutate parent references are mutually exclusive";
     return false;
   }
-  if (!parse_edit_array(line, "add_edges", out.batch.add_edges, error) ||
-      !parse_edit_array(line, "del_edges", out.batch.del_edges, error) ||
-      !parse_edit_array(line, "del_vertices", out.batch.del_vertices, error)) {
+  if (!parse_edit_array(fields, "add_edges", out.batch.add_edges, error) ||
+      !parse_edit_array(fields, "del_edges", out.batch.del_edges, error) ||
+      !parse_edit_array(fields, "del_vertices", out.batch.del_vertices,
+                        error)) {
     return false;
   }
   if (out.batch.add_edges.size() % 2 != 0 ||
@@ -59,9 +61,9 @@ bool parse_mutate_fields(const std::string& line, SvcRequest& out,
     error = "parse: edge arrays must hold (u,v) pairs";
     return false;
   }
-  if (json_find_value(line, "add_vertices") != std::string::npos) {
+  if (fields.has("add_vertices")) {
     std::uint64_t count = 0;
-    if (!json_parse_u64(line, "add_vertices", count) ||
+    if (!fields.parse_u64("add_vertices", count) ||
         count > 0xFFFFFFFFull) {
       error = "parse: add_vertices out of range";
       return false;
@@ -99,8 +101,10 @@ bool parse_request(const std::string& line, SvcRequest& out,
     error = "parse: malformed request line";
     return false;
   }
+  // One walk over the line finds every member read below.
+  const JsonFieldIndex fields(line);
   std::string op;
-  if (json_parse_string(line, "op", op)) {
+  if (fields.parse_string("op", op)) {
     if (op == "solve") {
       out.op = SvcRequest::Op::kSolve;
     } else if (op == "ping") {
@@ -119,9 +123,9 @@ bool parse_request(const std::string& line, SvcRequest& out,
   // The optional client trace id rides on any op (it selects the span
   // set to export on op:"trace" and overrides the derived id
   // elsewhere), so it parses before the early returns below.
-  if (json_find_value(line, "trace") != std::string::npos) {
+  if (fields.has("trace")) {
     std::string hex;
-    if (!json_parse_string(line, "trace", hex) ||
+    if (!fields.parse_string("trace", hex) ||
         !parse_hex16(hex, out.trace_id)) {
       error = "parse: \"trace\" must be a 16-digit hex trace id";
       return false;
@@ -130,7 +134,7 @@ bool parse_request(const std::string& line, SvcRequest& out,
   }
   if (out.op == SvcRequest::Op::kStats) {
     static constexpr const char* kFormats[] = {"json", "prom"};
-    if (json_parse_enum(line, "format", kFormats, 2, out.format) ==
+    if (fields.parse_enum("format", kFormats, 2, out.format) ==
         JsonEnumStatus::kInvalid) {
       error = "parse: unknown stats format \"" + out.format + "\"";
       return false;
@@ -141,14 +145,14 @@ bool parse_request(const std::string& line, SvcRequest& out,
     return true;
   }
 
-  json_parse_string(line, "path", out.path);
-  json_parse_string(line, "inline", out.inline_graph);
+  fields.parse_string("path", out.path);
+  fields.parse_string("inline", out.inline_graph);
   if (out.op == SvcRequest::Op::kMutate) {
-    return parse_fingerprint_field(line, "parent", out, error) &&
-           parse_mutate_fields(line, out, error);
+    return parse_fingerprint_field(fields, "parent", out, error) &&
+           parse_mutate_fields(fields, out, error);
   }
 
-  if (!parse_fingerprint_field(line, "graph", out, error)) return false;
+  if (!parse_fingerprint_field(fields, "graph", out, error)) return false;
   const int payloads = (out.path.empty() ? 0 : 1) +
                        (out.inline_graph.empty() ? 0 : 1) +
                        (out.has_fingerprint ? 1 : 0);
@@ -159,13 +163,13 @@ bool parse_request(const std::string& line, SvcRequest& out,
                 : "parse: graph payloads are mutually exclusive";
     return false;
   }
-  json_parse_string(line, "method", out.method);
+  fields.parse_string("method", out.method);
   if (out.method.empty()) {
     error = "parse: empty method";
     return false;
   }
   static constexpr const char* kQualities[] = {"fast", "balanced", "best"};
-  if (json_parse_enum(line, "quality", kQualities, 3, out.quality) ==
+  if (fields.parse_enum("quality", kQualities, 3, out.quality) ==
       JsonEnumStatus::kInvalid) {
     error = "parse: unknown quality \"" + out.quality + "\"";
     return false;
@@ -175,32 +179,32 @@ bool parse_request(const std::string& line, SvcRequest& out,
   // the default budget would hide the mistake (and pre-hardening, the
   // strtoull wraparound turned it into 2^64-1 trials).
   std::uint64_t budget = 0;
-  if (json_find_value(line, "budget") != std::string::npos) {
-    if (!json_parse_u64(line, "budget", budget) || budget == 0 ||
+  if (fields.has("budget")) {
+    if (!fields.parse_u64("budget", budget) || budget == 0 ||
         budget > 0xFFFFFFFFull) {
       error = "parse: budget out of range";
       return false;
     }
     out.budget = static_cast<std::uint32_t>(budget);
   }
-  if (json_find_value(line, "deadline_s") != std::string::npos) {
+  if (fields.has("deadline_s")) {
     double deadline = 0;
-    if (!json_parse_double(line, "deadline_s", deadline) ||
+    if (!fields.parse_double("deadline_s", deadline) ||
         !(deadline >= 0)) {  // rejects negatives and NaN
       error = "parse: deadline_s must be >= 0";
       return false;
     }
     out.deadline_seconds = deadline;
   }
-  if (json_find_value(line, "seed") != std::string::npos) {
-    if (!json_parse_u64(line, "seed", out.seed)) {
+  if (fields.has("seed")) {
+    if (!fields.parse_u64("seed", out.seed)) {
       error = "parse: seed out of range";
       return false;
     }
     out.has_seed = true;
   }
-  if (json_find_value(line, "want_sides") != std::string::npos &&
-      !json_parse_bool(line, "want_sides", out.want_sides)) {
+  if (fields.has("want_sides") &&
+      !fields.parse_bool("want_sides", out.want_sides)) {
     error = "parse: want_sides must be true or false";
     return false;
   }

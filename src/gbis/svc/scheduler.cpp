@@ -69,8 +69,7 @@ std::shared_ptr<const Graph> load_graph(const SvcRequest& req,
           ends_with(req.path, ".metis") ? read_metis_file(req.path)
                                         : read_edge_list_file(req.path));
     }
-    std::istringstream in(req.inline_graph);
-    return std::make_shared<const Graph>(read_edge_list(in));
+    return std::make_shared<const Graph>(read_edge_list(req.inline_graph));
   } catch (const std::exception& e) {
     error = (req.path.empty() ? "parse: inline graph: " : "io: ") +
             std::string(e.what());

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 namespace gbis {
 
@@ -138,14 +139,17 @@ std::size_t skip_value(const std::string& line, std::size_t i, int depth,
   return i > start ? i : npos;
 }
 
-/// The shared top-level walk: visits each `"key": value` member of the
-/// line's object in order. Returns the value index for `key` (first
-/// occurrence), or npos when the key is absent / the line is broken.
-/// With strict == true additionally requires the object to close and
-/// the line to end in whitespace (the json_object_valid path, called
-/// with key == nullptr).
-std::size_t scan_object(const std::string& line, const std::string* key,
-                        bool strict) {
+/// The one top-level member walk behind json_find_value,
+/// json_object_valid and JsonFieldIndex: calls visit(key, value_index)
+/// for each `"key": value` member of the line's object, in order, with
+/// the key's raw bytes between the quotes. Returns the value index at
+/// which visit returned true, else npos when the object closes or the
+/// line breaks. With strict == true it also checks every value and
+/// returns 0 when the object closes with only whitespace after it (the
+/// json_object_valid path, whose visit never stops the walk).
+template <typename Visit>
+std::size_t walk_members(const std::string& line, bool strict,
+                         Visit&& visit) {
   std::size_t i = skip_ws(line, 0);
   if (i >= line.size() || line[i] != '{') return npos;
   i = skip_ws(line, i + 1);
@@ -158,13 +162,11 @@ std::size_t scan_object(const std::string& line, const std::string* key,
     const std::size_t key_start = i + 1;
     i = skip_string_token(line, i);
     if (i == npos) return npos;
-    const std::size_t key_len = i - 1 - key_start;
+    const std::string_view key(line.data() + key_start, i - 1 - key_start);
     i = skip_ws(line, i);
     if (i >= line.size() || line[i] != ':') return npos;
     i = skip_ws(line, i + 1);
-    if (key != nullptr && line.compare(key_start, key_len, *key) == 0) {
-      return i;
-    }
+    if (visit(key, i)) return i;
     i = skip_value(line, i, 1, strict);
     if (i == npos) return npos;
     i = skip_ws(line, i);
@@ -240,16 +242,25 @@ void append_json_string(std::string& out, const std::string& value) {
 }
 
 std::size_t json_find_value(const std::string& line, const std::string& key) {
-  return scan_object(line, &key, /*strict=*/false);
+  return walk_members(line, /*strict=*/false,
+                      [&](std::string_view member, std::size_t) {
+                        return member == key;
+                      });
 }
 
 bool json_object_valid(const std::string& line) {
-  return scan_object(line, nullptr, /*strict=*/true) != npos;
+  return walk_members(line, /*strict=*/true,
+                      [](std::string_view, std::size_t) { return false; }) !=
+         npos;
 }
 
-bool json_parse_string(const std::string& line, const std::string& key,
-                       std::string& out) {
-  std::size_t i = json_find_value(line, key);
+namespace {
+
+// The json_parse_* bodies, run at a value index from json_find_value
+// or JsonFieldIndex::find (npos when the key is absent).
+
+bool parse_string_at(const std::string& line, std::size_t i,
+                     std::string& out) {
   if (i == npos || i >= line.size() || line[i] != '"') return false;
   ++i;
   std::string result;
@@ -300,9 +311,8 @@ bool json_parse_string(const std::string& line, const std::string& key,
   return false;  // unterminated string
 }
 
-bool json_parse_u64(const std::string& line, const std::string& key,
-                    std::uint64_t& out) {
-  const std::size_t i = json_find_value(line, key);
+bool parse_u64_at(const std::string& line, std::size_t i,
+                  std::uint64_t& out) {
   if (i == npos || i >= line.size()) return false;
   // strtoull itself accepts a leading '-' and wraps ({"budget":-1}
   // would parse as 2^64-1) and a non-JSON '+': reject both up front.
@@ -315,9 +325,7 @@ bool json_parse_u64(const std::string& line, const std::string& key,
   return true;
 }
 
-bool json_parse_i64(const std::string& line, const std::string& key,
-                    std::int64_t& out) {
-  const std::size_t i = json_find_value(line, key);
+bool parse_i64_at(const std::string& line, std::size_t i, std::int64_t& out) {
   if (i == npos || i >= line.size()) return false;
   if (line[i] == '+') return false;
   char* end = nullptr;
@@ -328,9 +336,7 @@ bool json_parse_i64(const std::string& line, const std::string& key,
   return true;
 }
 
-bool json_parse_double(const std::string& line, const std::string& key,
-                       double& out) {
-  const std::size_t i = json_find_value(line, key);
+bool parse_double_at(const std::string& line, std::size_t i, double& out) {
   if (i == npos || i >= line.size()) return false;
   if (line[i] == '+') return false;
   char* end = nullptr;
@@ -342,9 +348,7 @@ bool json_parse_double(const std::string& line, const std::string& key,
   return true;
 }
 
-bool json_parse_bool(const std::string& line, const std::string& key,
-                     bool& out) {
-  const std::size_t i = json_find_value(line, key);
+bool parse_bool_at(const std::string& line, std::size_t i, bool& out) {
   if (i == npos) return false;
   if (line.compare(i, 4, "true") == 0) {
     out = true;
@@ -357,10 +361,9 @@ bool json_parse_bool(const std::string& line, const std::string& key,
   return false;
 }
 
-bool json_parse_u64_array(const std::string& line, const std::string& key,
-                          std::vector<std::uint64_t>& out,
-                          std::size_t max_elements) {
-  std::size_t i = json_find_value(line, key);
+bool parse_u64_array_at(const std::string& line, std::size_t i,
+                        std::vector<std::uint64_t>& out,
+                        std::size_t max_elements) {
   if (i == npos || i >= line.size() || line[i] != '[') return false;
   std::vector<std::uint64_t> result;
   i = skip_ws(line, i + 1);
@@ -392,24 +395,110 @@ bool json_parse_u64_array(const std::string& line, const std::string& key,
   return false;
 }
 
-JsonEnumStatus json_parse_enum(const std::string& line,
-                               const std::string& key,
-                               const char* const* allowed, std::size_t count,
-                               std::string& out) {
-  if (json_find_value(line, key) == npos) return JsonEnumStatus::kAbsent;
+JsonEnumStatus parse_enum_at(const std::string& line, std::size_t i,
+                             const char* const* allowed, std::size_t count,
+                             std::string& out) {
+  if (i == npos) return JsonEnumStatus::kAbsent;
   std::string value;
-  if (!json_parse_string(line, key, value)) {
+  if (!parse_string_at(line, i, value)) {
     out.clear();  // present but not a string — nothing quotable
     return JsonEnumStatus::kInvalid;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (value == allowed[i]) {
+  for (std::size_t k = 0; k < count; ++k) {
+    if (value == allowed[k]) {
       out = std::move(value);
       return JsonEnumStatus::kValid;
     }
   }
   out = std::move(value);
   return JsonEnumStatus::kInvalid;
+}
+
+}  // namespace
+
+bool json_parse_string(const std::string& line, const std::string& key,
+                       std::string& out) {
+  return parse_string_at(line, json_find_value(line, key), out);
+}
+
+bool json_parse_u64(const std::string& line, const std::string& key,
+                    std::uint64_t& out) {
+  return parse_u64_at(line, json_find_value(line, key), out);
+}
+
+bool json_parse_i64(const std::string& line, const std::string& key,
+                    std::int64_t& out) {
+  return parse_i64_at(line, json_find_value(line, key), out);
+}
+
+bool json_parse_double(const std::string& line, const std::string& key,
+                       double& out) {
+  return parse_double_at(line, json_find_value(line, key), out);
+}
+
+bool json_parse_bool(const std::string& line, const std::string& key,
+                     bool& out) {
+  return parse_bool_at(line, json_find_value(line, key), out);
+}
+
+bool json_parse_u64_array(const std::string& line, const std::string& key,
+                          std::vector<std::uint64_t>& out,
+                          std::size_t max_elements) {
+  return parse_u64_array_at(line, json_find_value(line, key), out,
+                            max_elements);
+}
+
+JsonEnumStatus json_parse_enum(const std::string& line,
+                               const std::string& key,
+                               const char* const* allowed, std::size_t count,
+                               std::string& out) {
+  return parse_enum_at(line, json_find_value(line, key), allowed, count, out);
+}
+
+JsonFieldIndex::JsonFieldIndex(const std::string& line) : line_(line) {
+  walk_members(line, /*strict=*/false,
+               [&](std::string_view key, std::size_t value) {
+                 members_.emplace_back(key, value);
+                 return false;
+               });
+}
+
+std::size_t JsonFieldIndex::find(std::string_view key) const {
+  for (const auto& [k, value] : members_) {
+    if (k == key) return value;  // first occurrence wins
+  }
+  return npos;
+}
+
+bool JsonFieldIndex::parse_string(std::string_view key,
+                                  std::string& out) const {
+  return parse_string_at(line_, find(key), out);
+}
+
+bool JsonFieldIndex::parse_u64(std::string_view key,
+                               std::uint64_t& out) const {
+  return parse_u64_at(line_, find(key), out);
+}
+
+bool JsonFieldIndex::parse_double(std::string_view key, double& out) const {
+  return parse_double_at(line_, find(key), out);
+}
+
+bool JsonFieldIndex::parse_bool(std::string_view key, bool& out) const {
+  return parse_bool_at(line_, find(key), out);
+}
+
+bool JsonFieldIndex::parse_u64_array(std::string_view key,
+                                     std::vector<std::uint64_t>& out,
+                                     std::size_t max_elements) const {
+  return parse_u64_array_at(line_, find(key), out, max_elements);
+}
+
+JsonEnumStatus JsonFieldIndex::parse_enum(std::string_view key,
+                                          const char* const* allowed,
+                                          std::size_t count,
+                                          std::string& out) const {
+  return parse_enum_at(line_, find(key), allowed, count, out);
 }
 
 std::string to_hex16(std::uint64_t value) {

@@ -3,7 +3,9 @@
 // protocol (svc/protocol.*). This is deliberately not a JSON library:
 // every producer in this repo emits one flat object per line with
 // known keys, so the consumers scan for keys and parse the value
-// token in place, no DOM, no allocation beyond the output string.
+// token in place, no DOM, no allocation beyond the output string. A
+// reader of many keys builds a JsonFieldIndex: one walk, then one
+// (key, offset) pair per top-level member.
 //
 // Scanner contract: json_find_value walks the line as a token stream —
 // string tokens are consumed whole (escapes included), nested
@@ -23,6 +25,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gbis {
@@ -101,6 +105,40 @@ JsonEnumStatus json_parse_enum(const std::string& line,
                                const std::string& key,
                                const char* const* allowed, std::size_t count,
                                std::string& out);
+
+/// The top-level members of one line, found in one walk under
+/// json_find_value's rules: the first occurrence of a key wins, keys
+/// compare as raw bytes, and the walk stops where the line breaks, so
+/// find(key) == json_find_value(line, key) for every key. A reader
+/// that looks up many keys (svc/protocol's parse_request) walks a long
+/// line once instead of once per key. Each parse_* member returns what
+/// the json_parse_* function of the same name returns. The index keeps
+/// a reference to `line`, which must outlive it.
+class JsonFieldIndex {
+ public:
+  explicit JsonFieldIndex(const std::string& line);
+  explicit JsonFieldIndex(std::string&&) = delete;
+
+  /// Index of `key`'s raw value token, or std::string::npos.
+  std::size_t find(std::string_view key) const;
+  bool has(std::string_view key) const {
+    return find(key) != std::string::npos;
+  }
+
+  bool parse_string(std::string_view key, std::string& out) const;
+  bool parse_u64(std::string_view key, std::uint64_t& out) const;
+  bool parse_double(std::string_view key, double& out) const;
+  bool parse_bool(std::string_view key, bool& out) const;
+  bool parse_u64_array(std::string_view key, std::vector<std::uint64_t>& out,
+                       std::size_t max_elements) const;
+  JsonEnumStatus parse_enum(std::string_view key, const char* const* allowed,
+                            std::size_t count, std::string& out) const;
+
+ private:
+  const std::string& line_;
+  /// (key bytes, value index) in line order, duplicates included.
+  std::vector<std::pair<std::string_view, std::size_t>> members_;
+};
 
 /// 16-digit zero-padded lower-case hex (the fingerprint wire format).
 std::string to_hex16(std::uint64_t value);

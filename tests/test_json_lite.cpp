@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gbis/rng/rng.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
@@ -361,6 +363,161 @@ TEST(JsonEnum, SpoofedKeyInsideAStringValueIsAbsent) {
                             "quality", kTiers, 3, out),
             JsonEnumStatus::kAbsent);
   EXPECT_EQ(out, "sentinel");
+}
+
+// --- JsonFieldIndex: one walk, json_find_value's answers -------------------
+
+TEST(JsonFieldIndex, FindsWhatJsonFindValueFinds) {
+  const std::string line =
+      R"({"id":"r","x":{"budget":9},"budget":4,"budget":5,"y":[1,{"a":2}],)"
+      R"("\u0069nline":"1 0","inline":"2 0","inline":"3 0"})";
+  const JsonFieldIndex fields(line);
+  for (const char* key : {"id", "x", "budget", "y", "a", "inline",
+                          "\\u0069nline", "missing", ""}) {
+    EXPECT_EQ(fields.find(key), json_find_value(line, key)) << key;
+  }
+  std::uint64_t budget = 0;
+  ASSERT_TRUE(fields.parse_u64("budget", budget));
+  EXPECT_EQ(budget, 4u);  // first occurrence wins
+  std::string graph;
+  ASSERT_TRUE(fields.parse_string("inline", graph));
+  EXPECT_EQ(graph, "2 0");  // the escaped key is a different key
+}
+
+TEST(JsonFieldIndex, StopsWhereTheLineBreaks) {
+  const std::string line = R"({"a":1,"b":"x"junk,"c":3})";
+  const JsonFieldIndex fields(line);
+  EXPECT_TRUE(fields.has("a"));
+  EXPECT_TRUE(fields.has("b"));  // found before the break, like the scan
+  EXPECT_FALSE(fields.has("c"));
+  EXPECT_EQ(fields.find("c"), json_find_value(line, "c"));
+}
+
+/// One request member, well formed.
+const char* const kMembers[] = {
+    R"("id":"r1")",
+    R"("id":"a\"bA")",
+    R"("op":"solve")",
+    R"("op":"mutate")",
+    R"("op":"stats")",
+    R"("op":"nope")",
+    R"("trace":"00000000000000ab")",
+    R"("trace":7)",
+    R"("format":"prom")",
+    R"("format":"xml")",
+    R"("path":"g.graph")",
+    R"("inline":"3 2\n0 1\n1 2 5\n")",
+    R"("inline":"")",
+    R"("inline":"2 1\n0 1\n")",
+    R"("graph":"00000000deadbeef")",
+    R"("graph":"DEADBEEF")",
+    R"("parent":"00000000deadbeef")",
+    R"("method":"kl")",
+    R"("method":"")",
+    R"("quality":"fast")",
+    R"("quality":"fastest")",
+    R"("quality":1)",
+    R"("budget":4)",
+    R"("budget":-1)",
+    R"("budget":"4")",
+    R"("budget":18446744073709551616)",
+    R"("deadline_s":0.5)",
+    R"("deadline_s":-2e3)",
+    R"("deadline_s":1e999)",
+    R"("seed":7)",
+    R"("seed":1.5)",
+    R"("want_sides":true)",
+    R"("want_sides":null)",
+    R"("add_edges":[0,1,2,3])",
+    R"("add_edges":[0,-1])",
+    R"("del_edges":[])",
+    R"("del_vertices":[3])",
+    R"("del_vertices":[[3]])",
+    R"("add_vertices":1)",
+    R"("add_vertices":4294967296)",
+    R"("x":{"budget":9,"inline":"1 0"})",
+    R"("y":[{"budget":9},["inline",{"seed":1}]])",
+    R"("z":{"a":[1,{"b":{"c":"}"}}]})",
+};
+
+/// Every key parse_request reads.
+const char* const kRequestKeys[] = {
+    "id",    "op",         "trace",  "format",    "path",
+    "inline", "graph",     "parent", "add_edges", "del_edges",
+    "del_vertices", "add_vertices", "method", "quality", "budget",
+    "deadline_s", "seed",  "want_sides",
+};
+
+/// A request line: members drawn with repeats (so keys duplicate), in
+/// random order and spacing, then sometimes broken: cut mid-value, a
+/// trailing comma, or a byte inserted, deleted or replaced.
+std::string mutated_request(Rng& rng) {
+  const char* const kSpace[] = {"", "", " ", "\t"};
+  std::string line = "{";
+  const std::uint64_t count = rng.below(9);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (i > 0) line += std::string(kSpace[rng.below(4)]) + ",";
+    line += kSpace[rng.below(4)];
+    line += kMembers[rng.below(std::size(kMembers))];
+  }
+  line += kSpace[rng.below(4)];
+  if (count > 0 && rng.below(8) == 0) line += ",";
+  line += "}";
+  static constexpr char kBytes[] = {'{', '}', '[', ']', '"', ',', ':',
+                                    ' ', '\\', '0', 'u', '-', '\n'};
+  switch (rng.below(6)) {
+    case 0: line.resize(rng.below(line.size() + 1)); break;
+    case 1: {
+      const std::size_t at = rng.below(line.size() + 1);
+      line.insert(at, 1, kBytes[rng.below(sizeof kBytes)]);
+      break;
+    }
+    case 2: line.erase(rng.below(line.size()), 1); break;
+    case 3:
+      line[rng.below(line.size())] = kBytes[rng.below(sizeof kBytes)];
+      break;
+    default: break;  // left well formed
+  }
+  return line;
+}
+
+TEST(JsonFieldIndex, MatchesTheFreeFunctionsOnMutatedRequests) {
+  static constexpr const char* kTiers[] = {"fast", "balanced", "best"};
+  Rng rng(2026);
+  int found = 0;
+  for (int c = 0; c < 20000; ++c) {
+    const std::string line = mutated_request(rng);
+    const JsonFieldIndex fields(line);
+    for (const char* key : kRequestKeys) {
+      SCOPED_TRACE(line + " / " + key);
+      ASSERT_EQ(fields.find(key), json_find_value(line, key));
+      if (fields.has(key)) ++found;
+
+      std::string s1 = "sentinel", s2 = "sentinel";
+      EXPECT_EQ(fields.parse_string(key, s1), json_parse_string(line, key, s2));
+      EXPECT_EQ(s1, s2);
+      std::uint64_t u1 = 99, u2 = 99;
+      EXPECT_EQ(fields.parse_u64(key, u1), json_parse_u64(line, key, u2));
+      EXPECT_EQ(u1, u2);
+      double d1 = 9.5, d2 = 9.5;
+      EXPECT_EQ(fields.parse_double(key, d1),
+                json_parse_double(line, key, d2));
+      EXPECT_EQ(d1, d2);
+      bool b1 = true, b2 = true;
+      EXPECT_EQ(fields.parse_bool(key, b1), json_parse_bool(line, key, b2));
+      EXPECT_EQ(b1, b2);
+      std::vector<std::uint64_t> a1{42}, a2{42};
+      const std::size_t cap = rng.below(5);
+      EXPECT_EQ(fields.parse_u64_array(key, a1, cap),
+                json_parse_u64_array(line, key, a2, cap));
+      EXPECT_EQ(a1, a2);
+      std::string e1 = "sentinel", e2 = "sentinel";
+      EXPECT_EQ(fields.parse_enum(key, kTiers, 3, e1),
+                json_parse_enum(line, key, kTiers, 3, e2));
+      EXPECT_EQ(e1, e2);
+    }
+  }
+  EXPECT_GT(found, 20000);  // the corpus reaches its keys
 }
 
 }  // namespace

@@ -311,10 +311,16 @@ struct TrialMetrics {
   std::uint64_t counter(Counter c) const {
     return counters[static_cast<std::size_t>(c)];
   }
+  std::uint64_t& counter(Counter c) {
+    return counters[static_cast<std::size_t>(c)];
+  }
   const HistData& hist(Hist h) const {
     return hists[static_cast<std::size_t>(h)];
   }
   std::int64_t gauge(Gauge g) const {
+    return gauges[static_cast<std::size_t>(g)];
+  }
+  std::int64_t& gauge(Gauge g) {
     return gauges[static_cast<std::size_t>(g)];
   }
   /// True when every counter, histogram, and gauge is zero.

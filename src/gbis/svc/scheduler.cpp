@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,11 +27,6 @@ namespace gbis {
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 // Same stderr shape as the other GBIS_* knobs: name the variable and
 // the rejected text, then keep the default.
 void warn_rejected(const char* var, const char* text) {
@@ -46,6 +43,32 @@ const char* op_name(SvcRequest::Op op) {
     case SvcRequest::Op::kTrace: return "trace";
   }
   return "solve";
+}
+
+/// A whole-mebibyte count: digits only, so no sign, and at most
+/// kMaxMebibytes, so its byte value fits in 64 bits.
+bool parse_mebibytes(const char* text, std::uint64_t& mb) {
+  if (std::isdigit(static_cast<unsigned char>(*text)) == 0) return false;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || value > kMaxMebibytes) return false;
+  mb = value;
+  return true;
+}
+
+/// A span from `start` to `end` on the service epoch, with an optional
+/// "cut" payload; start == end makes a structural mark.
+SpanRec make_span(const char* name, double start, double end,
+                  std::optional<std::int64_t> cut = std::nullopt) {
+  SpanRec span;
+  span.name = name;
+  span.start_seconds = start;
+  span.duration_seconds = end - start;
+  if (cut.has_value()) {
+    span.value = *cut;
+    span.has_value = true;
+  }
+  return span;
 }
 
 /// The first span named `name` in a set; null when it has none.
@@ -66,8 +89,8 @@ std::shared_ptr<const Graph> load_graph(const SvcRequest& req,
   try {
     if (!req.path.empty()) {
       return std::make_shared<const Graph>(
-          ends_with(req.path, ".metis") ? read_metis_file(req.path)
-                                        : read_edge_list_file(req.path));
+          req.path.ends_with(".metis") ? read_metis_file(req.path)
+                                       : read_edge_list_file(req.path));
     }
     return std::make_shared<const Graph>(read_edge_list(req.inline_graph));
   } catch (const std::exception& e) {
@@ -81,12 +104,11 @@ std::shared_ptr<const Graph> load_graph(const SvcRequest& req,
 
 SvcOptions svc_options_from_env(SvcOptions base) {
   if (const char* v = std::getenv("GBIS_SVC_CACHE_MB"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
+    std::uint64_t mb = 0;
+    if (!parse_mebibytes(v, mb)) {
       warn_rejected("GBIS_SVC_CACHE_MB", v);
     } else {
-      base.cache_bytes = static_cast<std::uint64_t>(mb) << 20;
+      base.cache_bytes = mb << 20;
     }
   }
   if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG"); v != nullptr) {
@@ -138,12 +160,11 @@ SvcOptions svc_options_from_env(SvcOptions base) {
     }
   }
   if (const char* v = std::getenv("GBIS_SVC_GRAPH_MB"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
+    std::uint64_t mb = 0;
+    if (!parse_mebibytes(v, mb)) {
       warn_rejected("GBIS_SVC_GRAPH_MB", v);
     } else {
-      base.graph_store_bytes = static_cast<std::uint64_t>(mb) << 20;
+      base.graph_store_bytes = mb << 20;
     }
   }
   if (const char* v = std::getenv("GBIS_SVC_WARM"); v != nullptr) {
@@ -183,12 +204,8 @@ SvcOptions svc_options_from_env(SvcOptions base) {
   }
   if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG_MAX_MB");
       v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0') {
+    if (!parse_mebibytes(v, base.access_log_max_mb)) {
       warn_rejected("GBIS_SVC_ACCESS_LOG_MAX_MB", v);
-    } else {
-      base.access_log_max_mb = static_cast<std::uint64_t>(mb);
     }
   }
   return base;
@@ -213,11 +230,12 @@ struct Service::Pending {
   /// Loaded/referenced payload; shared with the graph store so an
   /// eviction mid-batch cannot free a graph a worker is solving.
   std::shared_ptr<const Graph> graph;
-  bool cold = false;      ///< leader of a cold solve
-  std::size_t cold_index = 0;   ///< slot in the batch's cold-job array
-  bool coalesced = false;       ///< follower of a same-batch leader
-  std::size_t leader_cold_index = 0;
+  bool cold = false;  ///< leader of a cold solve
+  /// A follower's same-batch leader; the follower answers its result.
+  const Pending* leader = nullptr;
   std::uint64_t solve_ordinal = 0;  ///< service-lifetime cold-solve ordinal
+  /// A leader's outcome, written by its phase-2 job.
+  PolicyResult result;
 
   // Warm-start plan (dyn/warm), resolved in phase 1 for leaders only;
   // the worker consumes warm_seed and falls back to the cold policy
@@ -230,25 +248,39 @@ struct Service::Pending {
   /// stable "internal: ..." reason, this goes to stderr + access log.
   std::string internal_detail;
 
-  std::uint64_t seq = 0;      ///< request ordinal (access-log "seq")
-  double submit_seconds = 0;  ///< stamped in submit_line (service epoch)
+  std::uint64_t seq = 0;  ///< request ordinal (access-log "seq")
 
   // Request tracing (obs/span): the derived-or-client trace id plus
-  // the span set under construction. `spans` is driver-owned (submit /
-  // phase 1 / phase 3); `worker_spans` is the one slot a phase-2
-  // worker writes, appended in phase 3 so merged span order is
-  // arrival-deterministic.
+  // the span set under construction, whose first span is "accept".
+  // `spans` is driver-owned (submit / phase 1 / phase 3);
+  // `worker_spans` is what a phase-2 job writes besides `result`,
+  // appended in phase 3 so merged span order is arrival-deterministic.
   std::uint64_t trace_id = 0;
   bool client_trace = false;  ///< id came from the request's "trace"
   std::vector<SpanRec> spans;
   std::vector<SpanRec> worker_spans;
 
-  /// Appends a zero-duration structural span stamped `at` seconds.
-  void mark(const char* name, double at) {
-    SpanRec rec;
-    rec.name = name;
-    rec.start_seconds = at;
-    spans.push_back(std::move(rec));
+  /// Answers with an error; a done record skips the later phases.
+  void fail(std::string reason) {
+    response.ok = false;
+    response.error = std::move(reason);
+    done = true;
+  }
+  /// Answers a mutate with the child's identity and shape.
+  void answer_mutate(const LineageRecord& record) {
+    response.ok = true;
+    response.op = "mutate";
+    response.has_mutate = true;
+    response.fingerprint = record.child;
+    response.parent = record.parent;
+    response.vertices = record.child_vertices;
+    response.edges = record.child_edges;
+    response.edit_distance = record.edit_distance;
+    response.depth = record.depth;
+    // The child identity in the access log.
+    key.fingerprint = record.child;
+    has_key = true;
+    done = true;
   }
   /// The set as currently known — what the flight recorder sees at
   /// each in-flight checkpoint and at completion.
@@ -274,7 +306,7 @@ Service::Service(SvcOptions options)
       cache_(options.cache_bytes),
       graph_store_(options.graph_store_bytes),
       lineage_(std::max<std::uint32_t>(options.lineage_max_depth, 1),
-               std::max<std::uint64_t>(options.lineage_max_records, 1)) {
+               SvcOptions::lineage_max_records) {
   if (options_.batch_size == 0) options_.batch_size = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
   if (options_.default_budget == 0) options_.default_budget = 1;
@@ -300,16 +332,10 @@ Service::Service(SvcOptions options)
     SvcCacheRestore report;
     store_open_ok_ = store_->open_and_restore(cache_, &lineage_, report);
     if (store_open_ok_) {
-      metrics_.counters[static_cast<std::size_t>(Counter::kSvcCacheRestored)] +=
-          report.entries_restored;
-      metrics_.counters[static_cast<std::size_t>(
-          Counter::kSvcLineageRestored)] += report.lineage_restored;
-      metrics_.counters[static_cast<std::size_t>(
-          Counter::kSvcCacheJournalBytes)] += report.bytes_written;
-      if (report.compacted) {
-        ++metrics_.counters[static_cast<std::size_t>(
-            Counter::kSvcCacheCompactions)];
-      }
+      metrics_.counter(Counter::kSvcCacheRestored) += report.entries_restored;
+      metrics_.counter(Counter::kSvcLineageRestored) += report.lineage_restored;
+      metrics_.counter(Counter::kSvcCacheJournalBytes) += report.bytes_written;
+      if (report.compacted) ++metrics_.counter(Counter::kSvcCacheCompactions);
       if (report.lines_dropped > 0) {
         std::cerr << "gbis: serve: cache journal " << options_.cache_file
                   << ": dropped " << report.lines_dropped
@@ -318,7 +344,7 @@ Service::Service(SvcOptions options)
       }
     }
   }
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcBatchSize)] = 0;
+  metrics_.gauge(Gauge::kSvcBatchSize) = 0;
 }
 
 bool Service::access_log_ok() const {
@@ -330,24 +356,22 @@ bool Service::cache_store_ok() const {
 }
 
 void Service::note_conn_opened() {
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcConnAccepted)];
-  ++metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcConnections)];
+  ++metrics_.counter(Counter::kSvcConnAccepted);
+  ++metrics_.gauge(Gauge::kSvcConnections);
 }
 
 void Service::note_conn_closed(bool slow) {
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcConnClosed)];
-  if (slow) {
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcConnSlowClosed)];
-  }
-  --metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcConnections)];
+  ++metrics_.counter(Counter::kSvcConnClosed);
+  if (slow) ++metrics_.counter(Counter::kSvcConnSlowClosed);
+  --metrics_.gauge(Gauge::kSvcConnections);
 }
 
 void Service::note_conn_rejected() {
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcConnRejected)];
+  ++metrics_.counter(Counter::kSvcConnRejected);
 }
 
 void Service::note_quota_rejected() {
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcQuotaRejected)];
+  ++metrics_.counter(Counter::kSvcQuotaRejected);
 }
 
 void Service::submit_line(const std::string& line,
@@ -360,20 +384,19 @@ void Service::submit_line(const std::string& line,
                           std::vector<std::string>& out,
                           std::uint64_t conn_id,
                           std::uint64_t conn_ordinal) {
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcRequests)];
+  ++metrics_.counter(Counter::kSvcRequests);
   auto entry = std::make_unique<Pending>();
   entry->seq = next_seq_++;
-  entry->submit_seconds = clock_.elapsed_seconds();
+  const double accepted = clock_.elapsed_seconds();
   // Derived trace id first so even a parse failure is traceable; the
   // client's own "trace" (if the line parses) replaces it below.
   entry->trace_id = splitmix64_at(conn_id, conn_ordinal);
-  entry->mark("accept", entry->submit_seconds);
+  entry->spans.push_back(make_span("accept", accepted, accepted));
   std::string error;
-  if (!parse_request(line, entry->request, error)) {
-    entry->response.id = entry->request.id;
-    entry->response.ok = false;
-    entry->response.error = error;
-    entry->done = true;
+  const bool parsed = parse_request(line, entry->request, error);
+  entry->response.id = entry->request.id;
+  if (!parsed) {
+    entry->fail(std::move(error));
   } else if (entry->request.has_trace &&
              entry->request.op != SvcRequest::Op::kTrace) {
     // On op:"trace" the field selects the set to export; on every
@@ -381,32 +404,17 @@ void Service::submit_line(const std::string& line,
     entry->trace_id = entry->request.trace_id;
     entry->client_trace = true;
   }
-  {
-    SpanRec parse_span;
-    parse_span.name = "parse";
-    parse_span.start_seconds = entry->submit_seconds;
-    parse_span.duration_seconds =
-        clock_.elapsed_seconds() - entry->submit_seconds;
-    entry->spans.push_back(std::move(parse_span));
-  }
+  entry->spans.push_back(
+      make_span("parse", accepted, clock_.elapsed_seconds()));
   if (queue_.size() >= options_.max_queue) {
     // Nowhere to hold it: this is the one response that jumps the
     // arrival-order queue (and the rejection itself is deterministic —
     // queue depth is a pure function of the submit/process call
     // sequence).
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcRejected)];
-    SvcResponse& rejected = entry->response;
-    rejected = SvcResponse{};
-    rejected.id = entry->request.id;
-    rejected.ok = false;
-    if (entry->client_trace) {
-      rejected.trace_id = entry->trace_id;
-      rejected.has_trace = true;
-    }
-    rejected.error = "rejected: queue full (" + std::to_string(queue_.size()) +
-                     " queued, max " + std::to_string(options_.max_queue) +
-                     ")";
-    out.push_back(encode_response(rejected));
+    ++metrics_.counter(Counter::kSvcRejected);
+    entry->fail("rejected: queue full (" + std::to_string(queue_.size()) +
+                " queued, max " + std::to_string(options_.max_queue) + ")");
+    emit(*entry, out);
     // Logged at submit time to match the response's position in the
     // stream (rejections jump the queue there too), and still completed
     // into the flight ring: tail forensics need the shed requests most
@@ -415,28 +423,23 @@ void Service::submit_line(const std::string& line,
     if (access_log_ != nullptr) access_log_->flush();
     return;
   }
-  entry->mark("admit", clock_.elapsed_seconds());
+  const double admitted = clock_.elapsed_seconds();
+  entry->spans.push_back(make_span("admit", admitted, admitted));
   flight_->record_inflight(entry->span_set("queued"));
   queue_.push_back(std::move(entry));
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcQueueDepth)] =
+  metrics_.gauge(Gauge::kSvcQueueDepth) =
       static_cast<std::int64_t>(queue_.size());
 }
 
-void Service::prepare(
-    Pending& entry, std::size_t queue_index,
-    std::unordered_map<SvcCacheKey, std::size_t, SvcCacheKeyHash>& leaders,
-    std::vector<std::size_t>& cold_queue_index) {
+void Service::resolve_solve(Pending& entry, LeaderMap& leaders) {
   const SvcRequest& req = entry.request;
-  entry.response.id = req.id;
 
   // Resolve the solve identity: method selector, budget, deadline,
   // seed. Unknown method names are protocol errors, not solve failures.
   entry.spec.portfolio = req.method == "auto";
   if (!entry.spec.portfolio &&
       !method_from_name(req.method, entry.spec.method)) {
-    entry.response.ok = false;
-    entry.response.error = "parse: unknown method \"" + req.method + "\"";
-    entry.done = true;
+    entry.fail("parse: unknown method \"" + req.method + "\"");
     return;
   }
   entry.spec.budget = req.budget != 0 ? req.budget : options_.default_budget;
@@ -455,23 +458,21 @@ void Service::prepare(
   static constexpr Counter kQualityCounter[kNumQualityTiers] = {
       Counter::kSvcQualityFast, Counter::kSvcQualityBalanced,
       Counter::kSvcQualityBest};
-  ++metrics_.counters[static_cast<std::size_t>(
-      kQualityCounter[static_cast<std::size_t>(entry.spec.quality)])];
+  ++metrics_.counter(
+      kQualityCounter[static_cast<std::size_t>(entry.spec.quality)]);
 
   // Brownout ladder (docs/ROBUSTNESS.md): degrade BEFORE the cache key
   // is computed, so a degraded solve is cached under its degraded
   // identity and can never answer a full-quality request later.
   if (brownout_level_ >= 3) {
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcBrownoutShed)];
-    entry.response.ok = false;
-    entry.response.error =
-        "rejected: brownout (level 3): " + std::to_string(queue_.size()) +
-        " queued of " + std::to_string(options_.max_queue);
+    ++metrics_.counter(Counter::kSvcBrownoutShed);
+    entry.fail("rejected: brownout (level 3): " +
+               std::to_string(queue_.size()) + " queued of " +
+               std::to_string(options_.max_queue));
     // The hint is a pure function of scheduler-visible state (queue
     // depth at dispatch), never of the clock, so replays agree.
     entry.response.retry_after_ms = static_cast<std::uint32_t>(
         std::clamp<std::size_t>(10 * queue_.size(), 100, 5000));
-    entry.done = true;
     return;
   }
   if (brownout_level_ == 2) {
@@ -501,9 +502,7 @@ void Service::prepare(
     std::string error;
     entry.graph = load_graph(req, error);
     if (entry.graph == nullptr) {
-      entry.response.ok = false;
-      entry.response.error = std::move(error);
-      entry.done = true;
+      entry.fail(std::move(error));
       return;
     }
     entry.key.fingerprint = graph_fingerprint(*entry.graph);
@@ -540,9 +539,8 @@ void Service::prepare(
     return;
   }
   if (const auto it = leaders.find(entry.key); it != leaders.end()) {
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcCoalesced)];
-    entry.coalesced = true;
-    entry.leader_cold_index = it->second;
+    ++metrics_.counter(Counter::kSvcCoalesced);
+    entry.leader = it->second;
     entry.graph.reset();  // the leader's copy is the one that solves
     return;
   }
@@ -551,18 +549,14 @@ void Service::prepare(
   if (entry.graph == nullptr) {
     entry.graph = graph_store_.lookup(entry.key.fingerprint);
     if (entry.graph == nullptr) {
-      entry.response.ok = false;
-      entry.response.error =
-          "io: unknown graph \"" + to_hex16(entry.key.fingerprint) + "\"";
-      entry.done = true;
+      entry.fail("io: unknown graph \"" + to_hex16(entry.key.fingerprint) +
+                 "\"");
       return;
     }
   }
   entry.cold = true;
-  entry.cold_index = cold_queue_index.size();
   entry.solve_ordinal = cold_ordinal_++;
-  leaders.emplace(entry.key, entry.cold_index);
-  cold_queue_index.push_back(queue_index);
+  leaders.emplace(entry.key, &entry);
   if (options_.warm) plan_warm(entry);
 }
 
@@ -593,30 +587,15 @@ void Service::plan_warm(Pending& entry) {
   entry.warm_edits = plan.cumulative_edits;
 }
 
-void Service::prepare_mutate(Pending& entry) {
+void Service::resolve_mutate(Pending& entry) {
   const SvcRequest& req = entry.request;
-  entry.response.id = req.id;
   const auto reject = [this, &entry](std::string reason) {
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcMutateRejected)];
-    entry.response.ok = false;
-    entry.response.error = std::move(reason);
-    entry.done = true;
+    ++metrics_.counter(Counter::kSvcMutateRejected);
+    entry.fail(std::move(reason));
   };
   const auto answer = [this, &entry](const LineageRecord& record) {
-    ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcMutateOk)];
-    entry.response.ok = true;
-    entry.response.op = "mutate";
-    entry.response.has_mutate = true;
-    entry.response.fingerprint = record.child;
-    entry.response.parent = record.parent;
-    entry.response.vertices = record.child_vertices;
-    entry.response.edges = record.child_edges;
-    entry.response.edit_distance = record.edit_distance;
-    entry.response.depth = record.depth;
-    // The child identity in the access log.
-    entry.key.fingerprint = record.child;
-    entry.has_key = true;
-    entry.done = true;
+    ++metrics_.counter(Counter::kSvcMutateOk);
+    entry.answer_mutate(record);
   };
 
   // Resolve the parent graph and its fingerprint.
@@ -718,8 +697,8 @@ void Service::prepare_mutate(Pending& entry) {
   if (inserted && store_ != nullptr && store_->ok()) {
     // Journal-then-answer, like cache inserts: by the time the client
     // sees the child fingerprint, the lineage edge is on disk.
-    metrics_.counters[static_cast<std::size_t>(
-        Counter::kSvcCacheJournalBytes)] += store_->append_lineage(*stored);
+    metrics_.counter(Counter::kSvcCacheJournalBytes) +=
+        store_->append_lineage(*stored);
   }
   answer(*stored);
 }
@@ -745,15 +724,12 @@ void Service::update_brownout() {
     }
   }
   if (brownout_level_ == 0 && level > 0) {
-    ++metrics_.counters[static_cast<std::size_t>(
-        Counter::kSvcBrownoutEntered)];
+    ++metrics_.counter(Counter::kSvcBrownoutEntered);
   } else if (brownout_level_ > 0 && level == 0) {
-    ++metrics_.counters[static_cast<std::size_t>(
-        Counter::kSvcBrownoutRestored)];
+    ++metrics_.counter(Counter::kSvcBrownoutRestored);
   }
   brownout_level_ = level;
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcBrownoutLevel)] =
-      static_cast<std::int64_t>(level);
+  metrics_.gauge(Gauge::kSvcBrownoutLevel) = static_cast<std::int64_t>(level);
 }
 
 void Service::note_solve_outcome(bool deadline_miss) {
@@ -781,8 +757,11 @@ void Service::fill_from_value(SvcResponse& response,
   }
 }
 
-void Service::finalize_solve(Pending& entry, const PolicyResult& result) {
+void Service::finalize_solve(Pending& entry) {
+  const PolicyResult& result =
+      entry.cold ? entry.result : entry.leader->result;
   SvcResponse& response = entry.response;
+  response.cache = entry.cold ? "miss" : "coalesced";
   switch (result.status) {
     case TrialStatus::kOk: {
       SvcCacheValue value;
@@ -804,13 +783,12 @@ void Service::finalize_solve(Pending& entry, const PolicyResult& result) {
         const Counter solved_by =
             result.warm ? Counter::kSvcSolveByOther
                         : method_info(result.best_method).solve_counter;
-        ++metrics_.counters[static_cast<std::size_t>(solved_by)];
+        ++metrics_.counter(solved_by);
         // Journal before the in-memory insert (the value is still
         // whole) and flush per append: by the time any response of
         // this batch reaches a client, its entry is on disk.
         if (store_ != nullptr && store_->ok()) {
-          metrics_.counters[static_cast<std::size_t>(
-              Counter::kSvcCacheJournalBytes)] +=
+          metrics_.counter(Counter::kSvcCacheJournalBytes) +=
               store_->append(entry.key, value);
         }
         cache_.insert(entry.key, std::move(value));
@@ -839,16 +817,25 @@ void Service::finalize_solve(Pending& entry, const PolicyResult& result) {
       response.error = "shutdown: request drained before any trial ran";
       break;
   }
+  if (!entry.cold) return;
+  // Feed the brownout deadline-miss window (leaders only, in arrival
+  // order): any trial the deadline took counts.
+  note_solve_outcome(result.status == TrialStatus::kTimedOut ||
+                     result.timed_out > 0);
+  if (result.warm) {
+    ++metrics_.counter(Counter::kSvcSolveWarm);
+  } else if (entry.warm_start) {
+    // Planned warm but ran cold — the guardrail tripped, or the warm
+    // refinement itself failed/timed out.
+    ++metrics_.counter(Counter::kSvcSolveWarmFallback);
+  }
 }
 
 void Service::fill_stats(SvcResponse& response) const {
   const SvcCacheStats& cache = cache_.stats();
-  const auto counter = [this](Counter c) {
-    return metrics_.counters[static_cast<std::size_t>(c)];
-  };
+  const auto counter = [this](Counter c) { return metrics_.counter(c); };
   const auto gauge = [this](Gauge g) {
-    return static_cast<std::uint64_t>(
-        metrics_.gauges[static_cast<std::size_t>(g)]);
+    return static_cast<std::uint64_t>(metrics_.gauge(g));
   };
   response.stats = {
       {"requests", counter(Counter::kSvcRequests)},
@@ -940,40 +927,23 @@ void Service::fill_stats(SvcResponse& response) const {
     response.stats_real.emplace_back(p + "_p50_us", summary.p50);
     response.stats_real.emplace_back(p + "_p90_us", summary.p90);
     response.stats_real.emplace_back(p + "_p99_us", summary.p99);
-  }
-  // Max-latency exemplars (stats v5): the trace id of the slowest
-  // sample per histogram, "" until one lands. *Which* request was
-  // slowest is wall-clock data, hence the "_us" suffix on the keys
-  // even though the values are trace ids.
-  const struct {
-    const char* key;
-    const HistExemplars* exemplars;
-  } exemplar_stats[] = {
-      {"request_latency_exemplar_us", &request_exemplars_},
-      {"solve_latency_exemplar_us", &solve_exemplars_},
-      {"queue_wait_exemplar_us", &queue_exemplars_},
-  };
-  for (const auto& [key, exemplars] : exemplar_stats) {
-    const BucketExemplar top = exemplars->top();
-    response.stats_text.emplace_back(key,
+    // Max-latency exemplar (stats v5): the trace id of the slowest
+    // sample, "" until one lands. *Which* request was slowest is
+    // wall-clock data, hence the "_us" suffix on a trace-id value.
+    const BucketExemplar top = exemplars_[static_cast<std::size_t>(hist)].top();
+    response.stats_text.emplace_back(p + "_exemplar_us",
                                      top.has ? to_hex16(top.trace) : "");
   }
 }
 
 void Service::write_prom(std::ostream& out) const {
   std::array<const HistExemplars*, kNumHists> exemplars{};
-  exemplars[static_cast<std::size_t>(Hist::kSvcRequestLatencyUs)] =
-      &request_exemplars_;
-  exemplars[static_cast<std::size_t>(Hist::kSvcSolveLatencyUs)] =
-      &solve_exemplars_;
-  exemplars[static_cast<std::size_t>(Hist::kSvcQueueWaitUs)] =
-      &queue_exemplars_;
+  for (std::size_t h = 0; h < kNumHists; ++h) exemplars[h] = &exemplars_[h];
   write_prom_exposition(out, metrics_snapshot(), exemplars);
 }
 
 void Service::fill_trace(Pending& entry) {
   SvcResponse& response = entry.response;
-  response.id = entry.request.id;
   response.op = "trace";
   if (entry.request.has_trace) {
     // Export one set by id — echoed so the caller sees what it asked
@@ -983,10 +953,8 @@ void Service::fill_trace(Pending& entry) {
     bool inflight = false;
     const SpanSet* found = flight_->find(entry.request.trace_id, &inflight);
     if (found == nullptr) {
-      response.ok = false;
-      response.error = "trace: unknown trace id \"" +
-                       to_hex16(entry.request.trace_id) + "\"";
-      entry.done = true;
+      entry.fail("trace: unknown trace id \"" +
+                 to_hex16(entry.request.trace_id) + "\"");
       return;
     }
     response.ok = true;
@@ -1000,7 +968,7 @@ void Service::fill_trace(Pending& entry) {
     response.traces = flight_->completed().size();
     response.spans = flight_->export_completed();
   }
-  ++metrics_.counters[static_cast<std::size_t>(Counter::kSvcTraceExports)];
+  ++metrics_.counter(Counter::kSvcTraceExports);
   entry.done = true;
 }
 
@@ -1010,19 +978,15 @@ void Service::write_trace(std::ostream& out) const {
 
 void Service::mirror_store_stats(TrialMetrics& into) const {
   const SvcCacheStats& cache = cache_.stats();
-  into.counters[static_cast<std::size_t>(Counter::kSvcCacheHits)] = cache.hits;
-  into.counters[static_cast<std::size_t>(Counter::kSvcCacheMisses)] =
-      cache.misses;
-  into.counters[static_cast<std::size_t>(Counter::kSvcCacheEvictions)] =
-      cache.evictions;
-  into.gauges[static_cast<std::size_t>(Gauge::kSvcCacheBytes)] =
-      static_cast<std::int64_t>(cache.bytes);
+  into.counter(Counter::kSvcCacheHits) = cache.hits;
+  into.counter(Counter::kSvcCacheMisses) = cache.misses;
+  into.counter(Counter::kSvcCacheEvictions) = cache.evictions;
+  into.gauge(Gauge::kSvcCacheBytes) = static_cast<std::int64_t>(cache.bytes);
   const GraphStoreStats& graphs = graph_store_.stats();
-  into.counters[static_cast<std::size_t>(Counter::kSvcGraphStoreEvictions)] =
-      graphs.evictions;
-  into.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreBytes)] =
+  into.counter(Counter::kSvcGraphStoreEvictions) = graphs.evictions;
+  into.gauge(Gauge::kSvcGraphStoreBytes) =
       static_cast<std::int64_t>(graphs.bytes);
-  into.gauges[static_cast<std::size_t>(Gauge::kSvcGraphStoreEntries)] =
+  into.gauge(Gauge::kSvcGraphStoreEntries) =
       static_cast<std::int64_t>(graphs.entries);
 }
 
@@ -1040,8 +1004,9 @@ void Service::finalize_telemetry(Pending& entry, double now_seconds) {
     entry.spans.push_back(std::move(span));
   }
   entry.worker_spans.clear();
-  entry.mark("finalize", now_seconds);
-  entry.mark("write", clock_.elapsed_seconds());
+  entry.spans.push_back(make_span("finalize", now_seconds, now_seconds));
+  const double written = clock_.elapsed_seconds();
+  entry.spans.push_back(make_span("write", written, written));
   finish_request(entry, entry.response.ok ? "ok" : "error", now_seconds);
 }
 
@@ -1057,20 +1022,16 @@ void Service::finish_request(Pending& entry, const char* status,
       solve != nullptr ? to_us(solve->duration_seconds) : 0;
   const std::uint64_t total_us =
       to_us(end_seconds - entry.spans.front().start_seconds);
+  const auto observe = [this, &entry](Hist hist, std::uint64_t us) {
+    metrics_.hists[static_cast<std::size_t>(hist)].observe(us);
+    exemplars_[static_cast<std::size_t>(hist)].offer(us, entry.trace_id);
+  };
   if (queue != nullptr) {
     // The latency histograms cover admitted requests only: a queue-full
     // rejection never queued and records none.
-    metrics_.hists[static_cast<std::size_t>(Hist::kSvcRequestLatencyUs)]
-        .observe(total_us);
-    metrics_.hists[static_cast<std::size_t>(Hist::kSvcQueueWaitUs)].observe(
-        queue_us);
-    request_exemplars_.offer(total_us, entry.trace_id);
-    queue_exemplars_.offer(queue_us, entry.trace_id);
-    if (entry.cold) {
-      metrics_.hists[static_cast<std::size_t>(Hist::kSvcSolveLatencyUs)]
-          .observe(solve_us);
-      solve_exemplars_.offer(solve_us, entry.trace_id);
-    }
+    observe(Hist::kSvcRequestLatencyUs, total_us);
+    observe(Hist::kSvcQueueWaitUs, queue_us);
+    if (entry.cold) observe(Hist::kSvcSolveLatencyUs, solve_us);
   }
   if (access_log_ != nullptr) {
     AccessEntry logged;
@@ -1101,10 +1062,9 @@ void Service::finish_request(Pending& entry, const char* status,
     access_log_->append(logged);
   }
   // The completed set replaces the in-flight record in the flight ring.
-  metrics_.counters[static_cast<std::size_t>(Counter::kSvcTraceSpans)] +=
-      entry.spans.size();
+  metrics_.counter(Counter::kSvcTraceSpans) += entry.spans.size();
   flight_->complete(entry.span_set(status));
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcFlightRing)] =
+  metrics_.gauge(Gauge::kSvcFlightRing) =
       static_cast<std::int64_t>(flight_->completed().size());
 }
 
@@ -1124,234 +1084,12 @@ void Service::process_batch(std::vector<std::string>& out,
   // depth and the recent deadline-miss window — scheduler-visible
   // state only, so a stdio --replay reproduces the same levels.
   update_brownout();
-
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcBatchSize)] =
+  metrics_.gauge(Gauge::kSvcBatchSize) =
       static_cast<std::int64_t>(queue_.size());
-  const double dispatch_seconds = clock_.elapsed_seconds();
-  for (auto& entry : queue_) {
-    SpanRec queued;
-    queued.name = "queue";
-    queued.start_seconds = entry->submit_seconds;
-    queued.duration_seconds = dispatch_seconds - entry->submit_seconds;
-    entry->spans.push_back(std::move(queued));
-  }
 
-  // Phase 1 (dispatch thread, arrival order): parse results are already
-  // in; resolve identities, load graphs, decide hit/coalesce/cold.
-  std::unordered_map<SvcCacheKey, std::size_t, SvcCacheKeyHash> leaders;
-  std::vector<std::size_t> cold_queue_index;  // queue slots of cold leaders
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    Pending& entry = *queue_[i];
-    const bool mutate = entry.request.op == SvcRequest::Op::kMutate;
-    if (entry.done || (!mutate && entry.request.op != SvcRequest::Op::kSolve)) {
-      continue;
-    }
-    if (stopping) {
-      entry.response.id = entry.request.id;
-      entry.response.ok = false;
-      entry.response.error = "shutdown: request drained before any trial ran";
-      entry.done = true;
-      continue;
-    }
-    if (mutate) {
-      // Mutations complete entirely in phase 1, so a later request in
-      // the same batch can already solve the child by fingerprint.
-      SpanRec mutate_span;
-      mutate_span.name = "mutate";
-      mutate_span.start_seconds = clock_.elapsed_seconds();
-      prepare_mutate(entry);
-      mutate_span.duration_seconds =
-          clock_.elapsed_seconds() - mutate_span.start_seconds;
-      entry.spans.push_back(std::move(mutate_span));
-      continue;
-    }
-    SpanRec lookup;
-    lookup.name = "lookup";
-    lookup.start_seconds = clock_.elapsed_seconds();
-    prepare(entry, i, leaders, cold_queue_index);
-    lookup.duration_seconds = clock_.elapsed_seconds() - lookup.start_seconds;
-    entry.spans.push_back(std::move(lookup));
-    if (entry.warm_start) {
-      // Phase 1 planned a warm start: record the projection (the edit
-      // count is the span's "cut" payload — it is what the guardrail
-      // reasons about).
-      SpanRec project;
-      project.name = "warm.project";
-      project.value = static_cast<std::int64_t>(entry.warm_edits);
-      project.has_value = true;
-      project.start_seconds = clock_.elapsed_seconds();
-      entry.spans.push_back(std::move(project));
-    }
-  }
-  // Checkpoint every in-flight set now that phase 1 resolved lookups:
-  // from here to phase 3 the driver never touches these spans, so the
-  // flight recorder's slots are quiescent while workers run — which is
-  // what makes the crash-path dump complete AND race-free.
-  for (auto& entry : queue_) {
-    flight_->record_inflight(entry->span_set("pending"));
-  }
-
-  // Phase 2 (worker pool): run the cold solves, one pool job each —
-  // cross-request parallelism; trials inside a request stay serial
-  // (svc/policy). Workers touch only their own slots.
-  std::vector<PolicyResult> results(cold_queue_index.size());
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcInflight)] =
-      static_cast<std::int64_t>(cold_queue_index.size());
-  if (!cold_queue_index.empty()) {
-    const auto outcomes = pool_.parallel_for_collect(
-        cold_queue_index.size(),
-        [&](std::size_t j) {
-          Pending& entry = *queue_[cold_queue_index[j]];
-          const double solve_start = clock_.elapsed_seconds();
-          // One deadline for the whole solve: the fault sites, the warm
-          // refine and a guardrail fallback to the cold policy all
-          // spend the same request budget.
-          const Deadline deadline =
-              entry.deadline_seconds > 0
-                  ? Deadline::after(entry.deadline_seconds)
-                  : Deadline();
-          // req-/solve-site fault injection, at the exact point a cold
-          // solve starts. Exceptions land in the pool's per-job error
-          // slot and are mapped below like any other solve failure.
-          if (!options_.faults.empty()) {
-            maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kReq,
-                                   entry.seq, deadline, stop);
-            maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kSolve,
-                                   entry.solve_ordinal, deadline, stop);
-          }
-          bool solved = false;
-          SpanBuffer span_buffer(&entry.worker_spans);
-          if (entry.warm_start) {
-            // Warm start: refine the projected ancestor partition with
-            // bounded KL. The quality guardrail compares against what
-            // the chain could plausibly have cost — each edit can
-            // change the cut by at most its own weight-1 edge, so a
-            // warm cut far beyond parent + edits means the projection
-            // landed badly and the cold policy should run instead.
-            const double refine_start = clock_.elapsed_seconds();
-            WarmSolveResult w =
-                warm_solve(*entry.graph, std::move(entry.warm_seed),
-                           options_.warm_max_passes, deadline);
-            SpanRec refine;
-            refine.name = "warm.refine";
-            refine.value = static_cast<std::int64_t>(w.cut);
-            refine.has_value = true;
-            refine.start_seconds = refine_start;
-            refine.duration_seconds =
-                clock_.elapsed_seconds() - refine_start;
-            span_buffer.offer(std::move(refine));
-            const Weight bound =
-                2 * (entry.warm_parent_cut +
-                     static_cast<Weight>(entry.warm_edits)) +
-                8;
-            if (w.cut <= bound) {
-              PolicyResult warm;
-              warm.status = TrialStatus::kOk;
-              warm.best_cut = w.cut;
-              warm.best_method = Method::kKl;
-              warm.ok = 1;
-              warm.warm = true;
-              warm.best_sides = std::move(w.sides);
-              results[j] = std::move(warm);
-              solved = true;
-            }
-          }
-          if (!solved) {
-            const std::size_t policy_span_begin = entry.worker_spans.size();
-            const double policy_start = clock_.elapsed_seconds();
-            results[j] = run_policy(*entry.graph, entry.spec, entry.seed,
-                                    options_.run, /*keep_sides=*/true, stop,
-                                    &span_buffer, deadline);
-            // Policy spans are recorded against the policy's own clock;
-            // rebase them onto the service epoch (wall-clock data only —
-            // structure is already epoch-free).
-            for (std::size_t k = policy_span_begin;
-                 k < entry.worker_spans.size(); ++k) {
-              entry.worker_spans[k].start_seconds += policy_start;
-            }
-          }
-          SpanRec solve_span;
-          solve_span.name = "solve";
-          solve_span.start_seconds = solve_start;
-          solve_span.duration_seconds = clock_.elapsed_seconds() - solve_start;
-          entry.worker_spans.insert(entry.worker_spans.begin(),
-                                    std::move(solve_span));
-        },
-        stop);
-    for (std::size_t j = 0; j < outcomes.size(); ++j) {
-      if (outcomes[j].state == JobState::kDone) continue;
-      // kNotRun (drained) stays kSkipped; a thrown job takes the trial
-      // exception mapping (failed_trial: a deadline overrun kTimedOut,
-      // an allocation failure flagged oom for the stable reason).
-      results[j] = PolicyResult{};
-      if (outcomes[j].state == JobState::kError) {
-        TrialResult failure = failed_trial(outcomes[j].error);
-        results[j].status = failure.status;
-        results[j].first_error = std::move(failure.error);
-        results[j].oom = failure.oom;
-      }
-    }
-  }
-
-  // Phase 3 (dispatch thread, arrival order): cache inserts, follower
-  // copies, ping/stats payloads, and the response stream itself.
-  for (auto& entry_ptr : queue_) {
-    Pending& entry = *entry_ptr;
-    if (!entry.done) {
-      if (entry.request.op == SvcRequest::Op::kPing) {
-        entry.response.id = entry.request.id;
-        entry.response.ok = true;
-        entry.response.op = "ping";
-      } else if (entry.request.op == SvcRequest::Op::kStats) {
-        entry.response.id = entry.request.id;
-        entry.response.ok = true;
-        entry.response.op = "stats";
-        if (entry.request.format == "prom") {
-          std::ostringstream prom;
-          write_prom(prom);
-          entry.response.prom = prom.str();
-        } else {
-          fill_stats(entry.response);
-        }
-      } else if (entry.request.op == SvcRequest::Op::kTrace) {
-        fill_trace(entry);
-      } else if (entry.cold) {
-        entry.response.cache = "miss";
-        const PolicyResult& result = results[entry.cold_index];
-        finalize_solve(entry, result);
-        // Feed the brownout deadline-miss window (leaders only, in
-        // arrival order): any trial the deadline took counts.
-        note_solve_outcome(result.status == TrialStatus::kTimedOut ||
-                           result.timed_out > 0);
-        if (result.warm) {
-          ++metrics_.counters[static_cast<std::size_t>(
-              Counter::kSvcSolveWarm)];
-        } else if (entry.warm_start) {
-          // Planned warm but ran cold — the guardrail tripped, or the
-          // warm refinement itself failed/timed out.
-          ++metrics_.counters[static_cast<std::size_t>(
-              Counter::kSvcSolveWarmFallback)];
-        }
-      } else if (entry.coalesced) {
-        entry.response.cache = "coalesced";
-        finalize_solve(entry, results[entry.leader_cold_index]);
-      }
-    }
-    // Echo the trace id only when the client supplied one — derived ids
-    // live in the access log / flight recorder, so byte streams of
-    // trace-unaware clients are unchanged.
-    if (entry.client_trace && !entry.response.has_trace) {
-      entry.response.trace_id = entry.trace_id;
-      entry.response.has_trace = true;
-    }
-    out.push_back(encode_response(entry.response));
-    // After the response: a stats op reports the latencies of requests
-    // strictly before it in the stream, which keeps its *_count fields
-    // deterministic.
-    finalize_telemetry(entry, clock_.elapsed_seconds());
-  }
-  queue_.clear();
-  if (access_log_ != nullptr) access_log_->flush();
+  const std::vector<Pending*> leaders = resolve(stopping);
+  solve(leaders, stop);
+  answer(out);
 
   // Journal upkeep: compact once the file outgrows the resident cache,
   // and surface a write failure exactly once (the service keeps
@@ -1360,10 +1098,8 @@ void Service::process_batch(std::vector<std::string>& out,
     if (store_->ok()) {
       const std::uint64_t rewritten = store_->maybe_compact(cache_, &lineage_);
       if (rewritten > 0) {
-        metrics_.counters[static_cast<std::size_t>(
-            Counter::kSvcCacheJournalBytes)] += rewritten;
-        ++metrics_.counters[static_cast<std::size_t>(
-            Counter::kSvcCacheCompactions)];
+        metrics_.counter(Counter::kSvcCacheJournalBytes) += rewritten;
+        ++metrics_.counter(Counter::kSvcCacheCompactions);
       }
     }
     if (!store_->ok() && !store_warned_) {
@@ -1374,8 +1110,194 @@ void Service::process_batch(std::vector<std::string>& out,
   }
 
   mirror_store_stats(metrics_);
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcQueueDepth)] = 0;
-  metrics_.gauges[static_cast<std::size_t>(Gauge::kSvcInflight)] = 0;
+  metrics_.gauge(Gauge::kSvcQueueDepth) = 0;
+  metrics_.gauge(Gauge::kSvcInflight) = 0;
+}
+
+std::vector<Service::Pending*> Service::resolve(bool stopping) {
+  const double dispatch_seconds = clock_.elapsed_seconds();
+  for (auto& entry : queue_) {
+    entry->spans.push_back(make_span(
+        "queue", entry->spans.front().start_seconds, dispatch_seconds));
+  }
+  // Parse results are already in; resolve identities, load graphs and
+  // decide hit / coalesce / cold in arrival order.
+  LeaderMap by_key;
+  std::vector<Pending*> leaders;
+  for (auto& entry_ptr : queue_) {
+    Pending& entry = *entry_ptr;
+    const bool mutate = entry.request.op == SvcRequest::Op::kMutate;
+    if (entry.done || (!mutate && entry.request.op != SvcRequest::Op::kSolve)) {
+      continue;
+    }
+    if (stopping) {
+      entry.fail("shutdown: request drained before any trial ran");
+      continue;
+    }
+    const double start = clock_.elapsed_seconds();
+    if (mutate) {
+      resolve_mutate(entry);
+      entry.spans.push_back(
+          make_span("mutate", start, clock_.elapsed_seconds()));
+      continue;
+    }
+    resolve_solve(entry, by_key);
+    entry.spans.push_back(make_span("lookup", start, clock_.elapsed_seconds()));
+    if (!entry.cold) continue;
+    leaders.push_back(&entry);
+    if (entry.warm_start) {
+      // The projection's edit count is the span's "cut" payload — it is
+      // what the guardrail reasons about.
+      const double at = clock_.elapsed_seconds();
+      entry.spans.push_back(make_span(
+          "warm.project", at, at, static_cast<std::int64_t>(entry.warm_edits)));
+    }
+  }
+  // Checkpoint every in-flight set now that lookups are resolved: from
+  // here to phase 3 the driver never touches these spans, so the flight
+  // recorder's slots are quiescent while workers run — which is what
+  // makes the crash-path dump complete AND race-free.
+  for (auto& entry : queue_) {
+    flight_->record_inflight(entry->span_set("pending"));
+  }
+  return leaders;
+}
+
+void Service::solve(const std::vector<Pending*>& leaders,
+                    const std::atomic<bool>* stop) {
+  // Cross-request parallelism only; trials inside a request stay serial
+  // (svc/policy).
+  metrics_.gauge(Gauge::kSvcInflight) =
+      static_cast<std::int64_t>(leaders.size());
+  if (leaders.empty()) return;
+  const auto outcomes = pool_.parallel_for_collect(
+      leaders.size(), [&](std::size_t j) { solve_one(*leaders[j], stop); },
+      stop);
+  for (std::size_t j = 0; j < outcomes.size(); ++j) {
+    if (outcomes[j].state == JobState::kDone) continue;
+    // kNotRun (drained) stays kSkipped; a thrown job takes the trial
+    // exception mapping (failed_trial: a deadline overrun kTimedOut,
+    // an allocation failure flagged oom for the stable reason).
+    PolicyResult& result = leaders[j]->result;
+    result = PolicyResult{};
+    if (outcomes[j].state == JobState::kError) {
+      TrialResult failure = failed_trial(outcomes[j].error);
+      result.status = failure.status;
+      result.first_error = std::move(failure.error);
+      result.oom = failure.oom;
+    }
+  }
+}
+
+void Service::solve_one(Pending& entry, const std::atomic<bool>* stop) const {
+  const double start = clock_.elapsed_seconds();
+  // One deadline for the whole solve: the fault sites, the warm refine
+  // and a guardrail fallback to the cold policy all spend the same
+  // request budget.
+  const Deadline deadline = entry.deadline_seconds > 0
+                                ? Deadline::after(entry.deadline_seconds)
+                                : Deadline();
+  // req-/solve-site fault injection, at the exact point a cold solve
+  // starts. Exceptions land in the pool's per-job error slot and are
+  // mapped like any other solve failure.
+  if (!options_.faults.empty()) {
+    maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kReq, entry.seq,
+                           deadline, stop);
+    maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kSolve,
+                           entry.solve_ordinal, deadline, stop);
+  }
+  SpanBuffer spans(&entry.worker_spans);
+  if (!entry.warm_start || !solve_warm(entry, deadline, spans)) {
+    const std::size_t first = entry.worker_spans.size();
+    const double policy_start = clock_.elapsed_seconds();
+    entry.result = run_policy(*entry.graph, entry.spec, entry.seed,
+                              options_.run, /*keep_sides=*/true, stop, &spans,
+                              deadline);
+    // Policy spans are recorded against the policy's own clock; rebase
+    // them onto the service epoch (wall-clock data only — structure is
+    // already epoch-free).
+    for (std::size_t k = first; k < entry.worker_spans.size(); ++k) {
+      entry.worker_spans[k].start_seconds += policy_start;
+    }
+  }
+  const double end = clock_.elapsed_seconds();
+  entry.worker_spans.insert(entry.worker_spans.begin(),
+                            make_span("solve", start, end));
+}
+
+bool Service::solve_warm(Pending& entry, const Deadline& deadline,
+                         SpanBuffer& spans) const {
+  // Refine the projected ancestor partition with bounded KL. The
+  // quality guardrail compares against what the chain could plausibly
+  // have cost — each edit can change the cut by at most its own
+  // weight-1 edge, so a warm cut far beyond parent + edits means the
+  // projection landed badly and the cold policy should run instead.
+  const double start = clock_.elapsed_seconds();
+  WarmSolveResult warm =
+      warm_solve(*entry.graph, std::move(entry.warm_seed),
+                 SvcOptions::warm_max_passes, deadline);
+  spans.offer(
+      make_span("warm.refine", start, clock_.elapsed_seconds(), warm.cut));
+  const Weight bound =
+      2 * (entry.warm_parent_cut + static_cast<Weight>(entry.warm_edits)) + 8;
+  if (warm.cut > bound) return false;
+  PolicyResult& result = entry.result;
+  result.status = TrialStatus::kOk;
+  result.best_cut = warm.cut;
+  result.best_method = Method::kKl;
+  result.ok = 1;
+  result.warm = true;
+  result.best_sides = std::move(warm.sides);
+  return true;
+}
+
+void Service::answer(std::vector<std::string>& out) {
+  for (auto& entry_ptr : queue_) {
+    Pending& entry = *entry_ptr;
+    SvcResponse& response = entry.response;
+    if (!entry.done) {
+      switch (entry.request.op) {
+        case SvcRequest::Op::kPing:
+          response.ok = true;
+          response.op = "ping";
+          break;
+        case SvcRequest::Op::kStats:
+          response.ok = true;
+          response.op = "stats";
+          if (entry.request.format == "prom") {
+            std::ostringstream prom;
+            write_prom(prom);
+            response.prom = prom.str();
+          } else {
+            fill_stats(response);
+          }
+          break;
+        case SvcRequest::Op::kTrace:
+          fill_trace(entry);
+          break;
+        default:
+          finalize_solve(entry);  // a leader or a follower
+      }
+    }
+    emit(entry, out);
+    // After the response: a stats op reports the latencies of requests
+    // strictly before it in the stream, which keeps its *_count fields
+    // deterministic.
+    finalize_telemetry(entry, clock_.elapsed_seconds());
+  }
+  queue_.clear();
+  if (access_log_ != nullptr) access_log_->flush();
+}
+
+void Service::emit(Pending& entry, std::vector<std::string>& out) {
+  // Echo the trace id only when the client supplied one — derived ids
+  // live in the access log / flight recorder, so byte streams of
+  // trace-unaware clients are unchanged.
+  if (entry.client_trace && !entry.response.has_trace) {
+    entry.response.trace_id = entry.trace_id;
+    entry.response.has_trace = true;
+  }
+  out.push_back(encode_response(entry.response));
 }
 
 void Service::drain(std::vector<std::string>& out,

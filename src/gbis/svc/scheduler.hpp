@@ -3,6 +3,21 @@
 // admitted requests onto the harness ThreadPool and answering repeats
 // from the LRU result cache (svc/cache).
 //
+// process_batch is three phases over the queued requests:
+//   * resolve (dispatch thread, arrival order) resolves each solve's
+//     identity, applies the brownout clamp or shed, loads and
+//     fingerprints its graph, looks up the cache, coalesces duplicates
+//     onto their leader, completes mutates and plans warm starts. It
+//     alone touches the cache, graph store and lineage before the
+//     solves run, and it hands phase 2 the batch's cold-solve leaders.
+//   * solve (worker pool) runs one job per leader. A job writes only
+//     its leader's `result` and `worker_spans`; it reads the rest of
+//     that record and the options, and no other Service state.
+//   * answer (dispatch thread, arrival order) fills ping, stats and
+//     trace payloads, finalizes each solve (cache insert, journal
+//     append, counters, the brownout miss window), lets a follower
+//     answer with its leader's result, and emits every response.
+//
 // Determinism contract — the whole point of the design:
 //   * Responses are emitted in request-arrival order (the single
 //     exception is a queue-full rejection, which is produced at submit
@@ -23,6 +38,7 @@
 // embeddable and testable; callers who need transport put one in front.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -111,7 +127,7 @@ struct SvcOptions {
   std::uint32_t lineage_max_depth = 64;
   /// Lineage record cap; at the cap new mutates are rejected
   /// ("mutate: lineage store full").
-  std::uint64_t lineage_max_records = 65536;
+  static constexpr std::uint64_t lineage_max_records = 65536;
   /// Warm-start solves (dyn/warm): project a cached ancestor partition
   /// through the lineage and refine with bounded KL instead of cold
   /// portfolio racing. false = every solve runs cold.
@@ -119,13 +135,17 @@ struct SvcOptions {
   /// Warm-start edit guardrail: the chain's cumulative edit distance
   /// must stay within this fraction of the target's |E|+1, else the
   /// solve runs cold (the ancestor partition is too stale to help).
-  double warm_edit_ratio = 0.25;
+  static constexpr double warm_edit_ratio = 0.25;
   /// KL pass cap for warm refinement.
-  std::uint32_t warm_max_passes = 8;
+  static constexpr std::uint32_t warm_max_passes = 8;
   /// Solver knobs shared by every request (KlOptions etc.). The obs
   /// block and metric sinks are ignored — the service keeps its own.
   RunConfig run;
 };
+
+/// The largest mebibyte count (cache, graph store, access-log budgets)
+/// whose byte value still fits in 64 bits.
+inline constexpr std::uint64_t kMaxMebibytes = (std::uint64_t{1} << 44) - 1;
 
 /// Overlays GBIS_SVC_CACHE_MB (whole mebibytes; 0 disables the cache),
 /// GBIS_SVC_ACCESS_LOG (a path), GBIS_SVC_SLOW_MS (milliseconds,
@@ -139,7 +159,8 @@ struct SvcOptions {
 /// GBIS_SVC_ACCESS_LOG_MAX_MB (whole mebibytes; 0 = unbounded) onto
 /// `base`.
 /// Malformed values warn on stderr and keep the default, matching
-/// every other GBIS_* knob.
+/// every other GBIS_* knob; a mebibyte count is malformed when it
+/// carries a sign or exceeds kMaxMebibytes.
 SvcOptions svc_options_from_env(SvcOptions base);
 
 /// The service. See the file comment for the determinism contract.
@@ -224,32 +245,52 @@ class Service {
 
  private:
   struct Pending;
+  using LeaderMap = std::unordered_map<SvcCacheKey, Pending*, SvcCacheKeyHash>;
 
-  void prepare(Pending& entry, std::size_t queue_index,
-               std::unordered_map<SvcCacheKey, std::size_t, SvcCacheKeyHash>&
-                   leaders,
-               std::vector<std::size_t>& cold_queue_index);
-  /// Phase-1 mutate resolution (arrival order, dispatch thread): the
-  /// whole op — parent lookup, apply, lineage + graph-store inserts,
-  /// journal append — completes here, so a later request in the same
-  /// batch can already reference the child fingerprint.
-  void prepare_mutate(Pending& entry);
-  /// Plans a warm start for a cold solve leader (phase 1): lineage
-  /// walk + partition projection onto `entry`'s graph.
+  /// Phase 1 (dispatch thread, arrival order): stamps every queue span,
+  /// resolves every queued solve and mutate, then checkpoints each set
+  /// as "pending". Returns the batch's cold-solve leaders.
+  std::vector<Pending*> resolve(bool stopping);
+  /// Identity, brownout, graph, cache lookup and coalescing of one solve;
+  /// a new leader enters `leaders` and gets its warm start planned.
+  void resolve_solve(Pending& entry, LeaderMap& leaders);
+  /// The whole mutate op — parent lookup, apply, lineage + graph-store
+  /// inserts, journal append — so a later request in the same batch can
+  /// already reference the child fingerprint.
+  void resolve_mutate(Pending& entry);
+  /// Lineage walk + partition projection onto a leader's graph.
   void plan_warm(Pending& entry);
-  void finalize_solve(Pending& entry, const PolicyResult& result);
+  /// Phase 2 (worker pool): one job per leader. A job that throws or
+  /// never runs resets its leader's `result` through failed_trial.
+  void solve(const std::vector<Pending*>& leaders,
+             const std::atomic<bool>* stop);
+  /// One leader's solve: writes only `entry.result` and
+  /// `entry.worker_spans`.
+  void solve_one(Pending& entry, const std::atomic<bool>* stop) const;
+  /// Warm refine of a planned leader; false sends it cold (the quality
+  /// guardrail tripped).
+  bool solve_warm(Pending& entry, const Deadline& deadline,
+                  SpanBuffer& spans) const;
+  /// Phase 3 (dispatch thread, arrival order): payloads, solve
+  /// finalization, then every response and its telemetry.
+  void answer(std::vector<std::string>& out);
+  /// Answers a leader (cache insert, journal, counters, miss window) or
+  /// a follower (its leader's result, "cache":"coalesced").
+  void finalize_solve(Pending& entry);
   void update_brownout();
   void note_solve_outcome(bool deadline_miss);
   void fill_stats(SvcResponse& response) const;
   /// Phase-3 handler for op:"trace": exports one span set (request has
   /// a "trace" id) or the whole completed ring.
   void fill_trace(Pending& entry);
+  /// Echoes a client trace id and appends the encoded response.
+  static void emit(Pending& entry, std::vector<std::string>& out);
   void finalize_telemetry(Pending& entry, double now_seconds);
   /// The one exit of a request record, from phase 3 or a queue-full
   /// rejection: reads the timings from the span set (queue span, solve
-  /// span, accept -> `end_seconds`), feeds the latency histograms,
-  /// appends the access-log line and completes the set into the
-  /// flight ring under `status`.
+  /// span, accept -> `end_seconds`), feeds the latency histograms and
+  /// their exemplars, appends the access-log line and completes the set
+  /// into the flight ring under `status`.
   void finish_request(Pending& entry, const char* status, double end_seconds);
   /// Mirrors the cache's and graph store's own monotone counters and
   /// gauges into `into` (absolute: both sides count service lifetime).
@@ -271,11 +312,9 @@ class Service {
   std::unique_ptr<FlightRecorder> flight_;
   bool flight_ok_ = true;
   std::uint64_t stdio_submitted_ = 0;  ///< 2-arg submit_line ordinal
-  /// Max-latency exemplars per latency histogram (stats v5 +
-  /// OpenMetrics exemplar rows).
-  HistExemplars request_exemplars_;
-  HistExemplars solve_exemplars_;
-  HistExemplars queue_exemplars_;
+  /// Max-latency exemplars per histogram, fed with it (stats v5 +
+  /// OpenMetrics exemplar rows; only the svc latency ones get samples).
+  std::array<HistExemplars, kNumHists> exemplars_{};
   WallTimer clock_;               ///< service epoch for all timings
   std::uint64_t next_seq_ = 0;    ///< request ordinal (access-log "seq")
   std::uint64_t batch_ordinal_ = 0;  ///< non-empty batches dispatched

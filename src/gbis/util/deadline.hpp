@@ -10,6 +10,7 @@
 // spectral, random — all bounded-time anyway) is not interruptible.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -37,13 +38,20 @@ class Deadline {
   Deadline() = default;
 
   /// Expires `seconds` of wall clock from now. seconds <= 0 expires
-  /// immediately (useful in tests).
+  /// immediately (useful in tests); a budget past what steady_clock can
+  /// hold from now never expires.
   static Deadline after(double seconds) {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const Clock::rep headroom = (Clock::time_point::max() - now).count();
+    const std::chrono::duration<double> budget(std::max(seconds, 0.0));
+    const double ticks =
+        std::chrono::duration<double, Clock::period>(budget).count();
+    if (!(ticks < static_cast<double>(headroom))) return Deadline();
     Deadline d;
     d.unlimited_ = false;
-    d.expiry_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(seconds));
+    d.expiry_ = now + Clock::duration(
+                          std::min(static_cast<Clock::rep>(ticks), headroom));
     return d;
   }
 

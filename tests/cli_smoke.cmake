@@ -133,6 +133,76 @@ if(NOT serve1 MATCHES "\"id\":\"bad\",\"ok\":false")
   message(FATAL_ERROR "serve replay did not reject the bad request: ${serve1}")
 endif()
 
+# The scheduler's rewired paths, byte-identical at 1 and 8 workers:
+# queue-full rejections with and without a client trace id, then a
+# level-3 brownout shed at EOF (--max-queue 3 --batch 6); and injected
+# solve faults, each with a coalesced follower behind its leader.
+set(kl "\"op\":\"solve\",\"path\":\"${WORK_DIR}/g.graph\",\"method\":\"kl\"")
+file(WRITE ${WORK_DIR}/shed.ndjson
+  "{\"id\":\"k1\",${kl},\"seed\":1}\n"
+  "{\"id\":\"k2\",${kl},\"seed\":2}\n"
+  "{\"id\":\"k3\",${kl},\"seed\":3}\n"
+  "{\"id\":\"k4\",${kl},\"seed\":4}\n"
+  "{\"id\":\"k5\",${kl},\"seed\":5,\"trace\":\"00000000000000cc\"}\n"
+  "{\"id\":\"k6\",${kl},\"seed\":6}\n"
+  "{\"id\":\"p\",\"op\":\"ping\"}\n"
+  "{\"id\":\"s1\",\"op\":\"stats\"}\n"
+  "{\"id\":\"q1\",${kl},\"seed\":9}\n"
+  "{\"id\":\"q2\",${kl},\"seed\":9}\n"
+  "{\"id\":\"s2\",\"op\":\"stats\"}\n"
+  "{\"id\":\"t\",\"op\":\"trace\"}\n")
+file(WRITE ${WORK_DIR}/faults.ndjson
+  "{\"id\":\"f1\",${kl},\"seed\":1}\n"
+  "{\"id\":\"f1b\",${kl},\"seed\":1}\n"
+  "{\"id\":\"f2\",${kl},\"seed\":2}\n"
+  "{\"id\":\"f3\",${kl},\"seed\":3}\n"
+  "{\"id\":\"f3b\",${kl},\"seed\":3}\n")
+set(shed_flags --max-queue 3 --batch 6)
+set(faults_flags --batch 6)
+foreach(stream shed faults)
+  foreach(threads 1 8)
+    set(ENV{GBIS_THREADS} ${threads})
+    if(stream STREQUAL "faults")
+      set(ENV{GBIS_SVC_FAULTS} "throw@solve:0,oom@solve:2")
+    endif()
+    execute_process(COMMAND ${GBIS_CLI} serve
+        --replay ${WORK_DIR}/${stream}.ndjson ${${stream}_flags}
+      WORKING_DIRECTORY ${WORK_DIR}
+      RESULT_VARIABLE code OUTPUT_VARIABLE ${stream}${threads}
+      ERROR_VARIABLE err)
+    unset(ENV{GBIS_THREADS})
+    unset(ENV{GBIS_SVC_FAULTS})
+    if(NOT code EQUAL 0)
+      message(FATAL_ERROR
+        "${stream} replay (${threads} threads) failed (${code}): ${err}")
+    endif()
+  endforeach()
+  strip_timing("${${stream}1}" stream1_cmp)
+  strip_timing("${${stream}8}" stream8_cmp)
+  if(NOT stream1_cmp STREQUAL stream8_cmp)
+    message(FATAL_ERROR
+      "${stream} replay is not byte-identical across thread counts:\n"
+      "--- GBIS_THREADS=1 ---\n${${stream}1}\n"
+      "--- GBIS_THREADS=8 ---\n${${stream}8}")
+  endif()
+endforeach()
+set(queue_full "\"error\":\"rejected: queue full")
+foreach(expected
+    "\"id\":\"k4\",\"ok\":false,${queue_full}"
+    "\"id\":\"k5\",\"ok\":false,\"trace\":\"00000000000000cc\",${queue_full}"
+    "\"id\":\"k1\",[^\n]*\"error\":\"rejected: brownout \\(level 3\\)")
+  if(NOT shed1 MATCHES "${expected}")
+    message(FATAL_ERROR "shed replay lacks ${expected}: ${shed1}")
+  endif()
+endforeach()
+foreach(reason "solve failed" "out of memory")
+  if(NOT faults1 MATCHES
+      "\"cache\":\"coalesced\",\"error\":\"internal: ${reason}\"")
+    message(FATAL_ERROR
+      "fault replay lacks a coalesced \"${reason}\" follower: ${faults1}")
+  endif()
+endforeach()
+
 # Serve telemetry: stats v2, the prom exposition, the access log, and
 # the --stats-file snapshot must all come back — and every
 # deterministic byte of them must be identical at 1 and 8 workers.
@@ -392,6 +462,37 @@ execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
   RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
 if(NOT code EQUAL 3)
   message(FATAL_ERROR "unopenable --cache-file exited ${code}, expected 3")
+endif()
+
+# Malformed numbers are usage errors, never silently reinterpreted:
+# trailing text, a sign on an unsigned value, a value past its type, a
+# non-finite double, or a mebibyte count whose bytes overflow 64 bits.
+foreach(bad
+    "serve;--cache-mb;abc" "serve;--graph-mb;1x" "serve;--deadline;1ms"
+    "serve;--budget;4294967297" "serve;--cache-mb;17592186044416"
+    "serve;--access-log-max-mb;-1" "serve;--deadline;inf"
+    "serve;--flight-ring;4294967296" "--seed;12abc;serve"
+    "--threads;-2;serve")
+  execute_process(COMMAND ${GBIS_CLI} ${bad} --replay ${WORK_DIR}/telem.ndjson
+    RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "gbis ${bad} exited ${code}, expected 2")
+  endif()
+endforeach()
+set(ENV{GBIS_THREADS} "4x")
+execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_QUIET)
+unset(ENV{GBIS_THREADS})
+if(NOT code EQUAL 2)
+  message(FATAL_ERROR "GBIS_THREADS=4x serve exited ${code}, expected 2")
+endif()
+# The service's own env knobs warn and keep their default instead.
+set(ENV{GBIS_SVC_CACHE_MB} "-1")
+execute_process(COMMAND ${GBIS_CLI} serve --replay ${WORK_DIR}/telem.ndjson
+  RESULT_VARIABLE code OUTPUT_QUIET ERROR_VARIABLE err)
+unset(ENV{GBIS_SVC_CACHE_MB})
+if(NOT code EQUAL 0 OR NOT err MATCHES "ignoring malformed GBIS_SVC_CACHE_MB")
+  message(FATAL_ERROR "GBIS_SVC_CACHE_MB=-1 exited ${code}: ${err}")
 endif()
 
 # Socket mode: stream the same requests over loopback TCP and a unix

@@ -62,6 +62,19 @@ TEST(Deadline, ExpiresAndThrows) {
   EXPECT_THROW(deadline.check(), DeadlineExceeded);
 }
 
+// A budget past what steady_clock can hold from now (~292 years of
+// nanoseconds) must not wrap into the past.
+TEST(Deadline, BudgetsPastTheClockNeverExpireAndNonPositiveOnesDo) {
+  for (const double seconds : {1e10, 1e300}) {
+    const Deadline deadline = Deadline::after(seconds);
+    EXPECT_FALSE(deadline.expired()) << seconds;
+    EXPECT_NO_THROW(deadline.check()) << seconds;
+  }
+  for (const double seconds : {0.0, -1.0}) {
+    EXPECT_TRUE(Deadline::after(seconds).expired()) << seconds;
+  }
+}
+
 TEST(Deadline, RemainingSecondsDecreases) {
   const Deadline deadline = Deadline::after(10.0);
   const double first = deadline.remaining_seconds();

@@ -25,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gbis/dyn/mutation.hpp"
+#include "gbis/exact/brute.hpp"
 #include "gbis/gen/gnp.hpp"
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
@@ -511,6 +513,16 @@ TEST(Service, ExpiredDeadlineAnswersDeadlineError) {
   EXPECT_TRUE(ok[0].starts_with("{\"id\":\"d\",\"ok\":true"));
 }
 
+TEST(Service, DeadlinePastTheClockIsNoDeadline) {
+  // 1e12 s is past what steady_clock can hold from now; it used to wrap
+  // into the past and time out before any trial ran.
+  const Graph g = make_grid(6, 6);
+  const auto out = run_sequence(
+      test_options(), {solve_line("d", g, ",\"deadline_s\":1e12")});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].starts_with("{\"id\":\"d\",\"ok\":true")) << out[0];
+}
+
 TEST(Service, StopFlagDrainsQueuedSolvesAsShutdown) {
   const Graph g = make_grid(6, 6);
   Service service(test_options());
@@ -953,6 +965,30 @@ TEST(SvcOptionsEnv, OverlaysTelemetryKnobsAndKeepsDefaultsOnMalformed) {
   ::unsetenv("GBIS_SVC_CACHE_MB");
   ::unsetenv("GBIS_SVC_ACCESS_LOG");
   ::unsetenv("GBIS_SVC_SLOW_MS");
+}
+
+TEST(SvcOptionsEnv, MebibyteKnobsRejectSignsAndByteOverflow) {
+  const char* knobs[] = {"GBIS_SVC_CACHE_MB", "GBIS_SVC_GRAPH_MB",
+                         "GBIS_SVC_ACCESS_LOG_MAX_MB"};
+  const auto read = [](const SvcOptions& options, int knob) {
+    return knob == 0   ? options.cache_bytes >> 20
+           : knob == 1 ? options.graph_store_bytes >> 20
+                       : options.access_log_max_mb;
+  };
+  const SvcOptions defaults;
+  for (int knob = 0; knob < 3; ++knob) {
+    // 2^44 - 1 MiB is the largest count whose byte value fits 64 bits.
+    ::setenv(knobs[knob], "17592186044415", 1);
+    EXPECT_EQ(read(svc_options_from_env(SvcOptions{}), knob), kMaxMebibytes);
+    for (const char* bad : {"-1", "+1", " 1", "1x", "", "17592186044416",
+                            "99999999999999999999"}) {
+      ::setenv(knobs[knob], bad, 1);  // warn, keep the default
+      EXPECT_EQ(read(svc_options_from_env(SvcOptions{}), knob),
+                read(defaults, knob))
+          << knobs[knob] << "=\"" << bad << "\"";
+    }
+    ::unsetenv(knobs[knob]);
+  }
 }
 
 TEST(Service, UnopenableAccessLogReportsNotOk) {
@@ -2277,6 +2313,164 @@ TEST(Service, WarmSolveChainIsThreadCountInvariant) {
   EXPECT_EQ(one, eight);
   ASSERT_EQ(one.size(), 4u);
   EXPECT_NE(one[2].find("\"warm\":true"), std::string::npos) << one[2];
+}
+
+// Every way a leader can end — a throw, an allocation failure, a hang
+// past its deadline, a warm start — reaches its same-batch follower,
+// which answers with the leader's outcome without solving anything.
+TEST(Service, CoalescedFollowerTakesItsLeadersOutcome) {
+  const Graph g = make_grid(6, 6);
+  const Graph parent = make_ladder(12);
+  const std::string grow = ",\"add_vertices\":1,\"add_edges\":[" +
+                           std::to_string(parent.num_vertices()) + ",0]";
+  std::vector<std::string> streams[2], logs[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::string log_path =
+        temp_journal("svc_coalesced_" + std::to_string(run) + ".jsonl");
+    SvcOptions options = test_options(run == 0 ? 1 : 4);
+    options.batch_size = 100;  // batches are cut by hand below
+    options.faults =
+        SvcFaultPlan::parse("throw@solve:0,oom@solve:1,hang@solve:2");
+    options.access_log_path = log_path;
+    Service service(options);
+    std::vector<std::string>& out = streams[run];
+    testing::internal::CaptureStderr();
+    for (const char* extra :
+         {",\"seed\":1", ",\"seed\":2", ",\"seed\":3,\"deadline_s\":0.05"}) {
+      service.submit_line(solve_line("lead", g, extra), out);
+      service.submit_line(solve_line("follow", g, extra), out);
+    }
+    service.process_batch(out);
+    const std::string errors = testing::internal::GetCapturedStderr();
+    service.submit_line(solve_line("parent", parent), out);
+    service.submit_line(mutate_inline_line("m", parent, grow), out);
+    service.process_batch(out);
+    std::string child;
+    ASSERT_TRUE(json_parse_string(out.back(), "fingerprint", child));
+    service.submit_line(solve_ref_line("lead", child), out);
+    service.submit_line(solve_ref_line("follow", child), out);
+    service.process_batch(out);
+    ASSERT_EQ(out.size(), 10u);
+
+    // Only the two failed leaders (seq 0 and 2) report on stderr.
+    EXPECT_NE(errors.find("internal error (seq 0): injected fault"),
+              std::string::npos) << errors;
+    EXPECT_NE(errors.find("internal error (seq 2): std::bad_alloc"),
+              std::string::npos) << errors;
+    EXPECT_EQ(std::count(errors.begin(), errors.end(), '\n'), 2) << errors;
+    for (const std::size_t lead : {0u, 2u, 4u, 8u}) {
+      std::string lead_cache, follow_cache, lead_error, follow_error;
+      ASSERT_TRUE(json_parse_string(out[lead], "cache", lead_cache));
+      ASSERT_TRUE(json_parse_string(out[lead + 1], "cache", follow_cache));
+      EXPECT_EQ(lead_cache, "miss") << out[lead];
+      EXPECT_EQ(follow_cache, "coalesced") << out[lead + 1];
+      json_parse_string(out[lead], "error", lead_error);
+      json_parse_string(out[lead + 1], "error", follow_error);
+      EXPECT_EQ(lead_error, follow_error) << out[lead + 1];
+    }
+    std::string error;
+    ASSERT_TRUE(json_parse_string(out[1], "error", error));
+    EXPECT_EQ(error, "internal: solve failed");
+    ASSERT_TRUE(json_parse_string(out[3], "error", error));
+    EXPECT_EQ(error, "internal: out of memory");
+    ASSERT_TRUE(json_parse_string(out[5], "error", error));
+    EXPECT_TRUE(error.starts_with("deadline")) << error;
+    EXPECT_NE(out[9].find("\"method\":\"warm-kl\""), std::string::npos);
+    EXPECT_NE(out[9].find("\"warm\":true"), std::string::npos) << out[9];
+
+    // The followers' access-log lines keep their leaders' detail.
+    std::istringstream log(read_file(log_path));
+    for (std::string line; std::getline(log, line);) {
+      logs[run].push_back(strip_timing(line));
+    }
+    ASSERT_EQ(logs[run].size(), 10u);
+    EXPECT_NE(logs[run][1].find("internal: solve failed (injected fault: "
+                                "throw@solve:0)"),
+              std::string::npos) << logs[run][1];
+    EXPECT_NE(logs[run][3].find("internal: out of memory (std::bad_alloc)"),
+              std::string::npos) << logs[run][3];
+  }
+  EXPECT_EQ(strip_timing(streams[0]), strip_timing(streams[1]));
+  EXPECT_EQ(logs[0], logs[1]);
+}
+
+// ROADMAP item 5's oracle for service answers: on graphs small enough to
+// solve exactly, every ok answer the service gives — each registered
+// method, each quality rung, a coalesced follower, a cache hit and a
+// warm solve of a mutated child — is a legal bisection whose cut
+// recounts and never beats the optimum of its own graph.
+TEST(Service, EveryAnswerIsALegalBisectionNoBetterThanExact) {
+  std::uint32_t warm_answers = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const Graph g = make_gnp(14, gnp_p_for_degree(14, 3.0), rng);
+    MutationBatch batch;
+    batch.add_vertices = 1;
+    batch.add_edges = {14, 0};
+    const Graph child = apply_mutation(g, batch).child;
+    const std::string child_fp = to_hex16(graph_fingerprint(child));
+
+    const std::string sides = ",\"want_sides\":true";
+    std::vector<std::string> lines;
+    for (const MethodInfo& info : method_registry()) {
+      lines.push_back(solve_line(info.name, g,
+                                 ",\"method\":\"" + std::string(info.name) +
+                                     "\"" + sides));
+    }
+    for (const std::string rung : {"fast", "balanced", "best"}) {
+      lines.push_back(
+          solve_line(rung, g, ",\"quality\":\"" + rung + "\"" + sides));
+    }
+    lines.push_back(solve_line("follower", g, ",\"quality\":\"best\"" + sides));
+    lines.push_back(mutate_inline_line("m", g, ",\"add_vertices\":1,"
+                                               "\"add_edges\":[14,0]"));
+    SvcOptions options = test_options();
+    options.batch_size = 64;  // one batch: the follower coalesces
+    Service service(options);
+    std::vector<std::string> out;
+    for (const std::string& line : lines) service.submit_line(line, out);
+    service.drain(out);
+    // The next batch: a repeat, and the child's solve, which warm-starts
+    // from the parent answers the first batch cached.
+    service.submit_line(solve_line("hit", g, ",\"method\":\"kl\"" + sides),
+                        out);
+    service.submit_line(solve_ref_line("warm", child_fp, sides), out);
+    service.drain(out);
+
+    const Weight optimum = brute_force_bisection(g).cut;
+    const Weight child_optimum = brute_force_bisection(child).cut;
+    std::size_t answered = 0;
+    for (const std::string& line : out) {
+      bool ok = false;
+      ASSERT_TRUE(json_parse_bool(line, "ok", ok)) << line;
+      std::string fp, side_text;
+      if (!ok || !json_parse_string(line, "sides", side_text)) {
+        ASSERT_NE(line.find("\"op\":\"mutate\""), std::string::npos) << line;
+        continue;
+      }
+      ++answered;
+      ASSERT_TRUE(json_parse_string(line, "fingerprint", fp));
+      const bool on_child = fp == child_fp;
+      const Graph& own = on_child ? child : g;
+      std::uint64_t cut = 0;
+      ASSERT_TRUE(json_parse_u64(line, "cut", cut));
+      ASSERT_EQ(side_text.size(), own.num_vertices()) << line;
+      std::vector<std::uint8_t> parts;
+      for (const char c : side_text) parts.push_back(c == '1' ? 1 : 0);
+      const Bisection recount(own, parts);
+      EXPECT_LE(recount.count_imbalance(), 1u) << line;
+      EXPECT_EQ(recount.cut(), static_cast<Weight>(cut)) << line;
+      EXPECT_GE(static_cast<Weight>(cut), on_child ? child_optimum : optimum)
+          << line;
+      if (line.find("\"warm\":true") != std::string::npos) ++warm_answers;
+    }
+    EXPECT_EQ(answered, out.size() - 1) << "seed " << seed;
+    EXPECT_NE(out[method_registry().size() + 3].find("\"coalesced\""),
+              std::string::npos);
+    EXPECT_NE(out[out.size() - 2].find("\"cache\":\"hit\""),
+              std::string::npos) << out[out.size() - 2];
+  }
+  EXPECT_GT(warm_answers, 0u);
 }
 
 TEST(Service, LineageJournalReplaysMutationsAcrossRestart) {

@@ -33,10 +33,14 @@
 // Exit codes: 0 success, 1 internal error, 2 usage error, 3 I/O error,
 // 130 interrupted (SIGINT/SIGTERM; campaigns journal first). All
 // diagnostics go to stderr; stdout carries only results.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -249,12 +253,40 @@ void save_graph(const std::string& path, const Graph& g) {
   }
 }
 
-double to_double(const std::string& s) { return std::strtod(s.c_str(), nullptr); }
+// Numeric arguments must be whole: empty text, trailing text, a sign on
+// an unsigned value, a value past the target type and a non-finite
+// double are all usage errors.
+[[noreturn]] void bad_number(const std::string& s) {
+  std::cerr << "gbis: malformed number \"" << s << "\"\n";
+  usage();
+}
+
+double to_double(const std::string& s) {
+  char* end = nullptr;
+  const double value = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !std::isfinite(value)) bad_number(s);
+  return value;
+}
 std::uint64_t to_u64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(s.c_str(), &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(s.c_str()[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
+    bad_number(s);
+  }
+  return value;
 }
 std::uint32_t to_u32(const std::string& s) {
-  return static_cast<std::uint32_t>(to_u64(s));
+  const std::uint64_t value = to_u64(s);
+  if (value > std::numeric_limits<std::uint32_t>::max()) bad_number(s);
+  return static_cast<std::uint32_t>(value);
+}
+/// A whole-mebibyte budget whose byte value fits in 64 bits.
+std::uint64_t to_mebibytes(const std::string& s) {
+  const std::uint64_t value = to_u64(s);
+  if (value > kMaxMebibytes) bad_number(s);
+  return value;
 }
 
 int cmd_gen(const std::vector<std::string>& args, Rng& rng) {
@@ -556,12 +588,12 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
       options.max_queue = to_u64(flag_value());
       if (options.max_queue == 0) usage();
     } else if (arg == "--cache-mb") {
-      options.cache_bytes = to_u64(flag_value()) << 20;
+      options.cache_bytes = to_mebibytes(flag_value()) << 20;
     } else if (arg == "--cache-file") {
       options.cache_file = flag_value();
       if (options.cache_file.empty()) usage();
     } else if (arg == "--graph-mb") {
-      options.graph_store_bytes = to_u64(flag_value()) << 20;
+      options.graph_store_bytes = to_mebibytes(flag_value()) << 20;
     } else if (arg == "--no-warm") {
       options.warm = false;
     } else if (arg == "--no-brownout") {
@@ -583,12 +615,12 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
       options.access_log_path = flag_value();
       if (options.access_log_path.empty()) usage();
     } else if (arg == "--access-log-max-mb") {
-      options.access_log_max_mb = to_u64(flag_value());
+      options.access_log_max_mb = to_mebibytes(flag_value());
     } else if (arg == "--flight-file") {
       options.flight_file = flag_value();
       if (options.flight_file.empty()) usage();
     } else if (arg == "--flight-ring") {
-      options.flight_ring = to_u64(flag_value());
+      options.flight_ring = to_u32(flag_value());
       if (options.flight_ring == 0) usage();
     } else if (arg == "--slow-ms") {
       options.slow_ms = to_double(flag_value());
@@ -629,8 +661,7 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
   // (an explicit --threads value wins; both produce identical bytes).
   if (options.threads == 0) {
     if (const char* v = std::getenv("GBIS_THREADS"); v != nullptr) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      options.threads = to_u32(v);
     }
   }
 
@@ -832,11 +863,10 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--seed") == 0) {
       if (i + 1 >= argc) usage();  // dangling flag: don't eat it as a path
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = to_u64(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       if (i + 1 >= argc) usage();
-      threads =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      threads = to_u32(argv[++i]);
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       if (i + 1 >= argc) usage();
       obs.metrics_path = argv[++i];

@@ -1,8 +1,6 @@
 #include "gbis/harness/checkpoint.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -12,6 +10,7 @@
 
 #include "gbis/harness/fault_injection.hpp"
 #include "gbis/io/io_error.hpp"
+#include "gbis/io/journal.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/util/json_lite.hpp"
 
@@ -238,48 +237,32 @@ CheckpointJournal::CheckpointJournal(std::string path,
                                      std::uint64_t num_trials,
                                      std::span<const TrialRecord> initial)
     : path_(std::move(path)) {
-  std::string header = "{\"type\":\"campaign\",\"version\":1,";
-  header += "\"fingerprint\":\"" + to_hex16(fingerprint) + "\",";
-  header += "\"trials\":" + std::to_string(num_trials) + "}";
-  lines_.push_back(std::move(header));
-  for (const TrialRecord& record : initial) {
-    lines_.push_back(encode_trial(record));
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  publish_locked();
+  const std::string error = publish_file(path_, [&](std::ostream& out) {
+    out << "{\"type\":\"campaign\",\"version\":1,\"fingerprint\":\""
+        << to_hex16(fingerprint) << "\",\"trials\":"
+        << std::to_string(num_trials) << "}\n";
+    for (const TrialRecord& r : initial) out << encode_trial(r) << '\n';
+  });
+  if (!error.empty()) throw IoError("checkpoint: " + error);
+  out_.open(path_, std::ios::app);
+  if (!out_) throw IoError("checkpoint: cannot open " + path_);
 }
 
 void CheckpointJournal::append(const TrialRecord& record) {
+  const std::string line = encode_trial(record);
   const std::lock_guard<std::mutex> lock(mutex_);
-  lines_.push_back(encode_trial(record));
-  publish_locked();
-}
-
-void CheckpointJournal::publish_locked() {
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw IoError("checkpoint: cannot open " + tmp);
-    for (const std::string& line : lines_) out << line << '\n';
-    out.flush();
-    if (!out) throw IoError("checkpoint: write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw IoError("checkpoint: cannot rename " + tmp + " -> " + path_);
+  if (!append_line(out_, line)) {
+    throw IoError("checkpoint: write failed: " + path_);
   }
 }
 
 CheckpointJournal::Loaded CheckpointJournal::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("checkpoint: cannot open " + path);
-
   Loaded loaded;
-  std::string line;
   std::size_t line_no = 0;
   bool saw_header = false;
-  while (std::getline(in, line)) {
+  const auto load_line = [&](const std::string& line) {
     ++line_no;
-    if (line.empty()) continue;
+    if (line.empty()) return;
     std::string type;
     if (!json_parse_string(line, "type", type)) {
       journal_fail(path, line_no, "missing \"type\" in: " + line);
@@ -323,6 +306,10 @@ CheckpointJournal::Loaded CheckpointJournal::load(const std::string& path) {
     } else {
       journal_fail(path, line_no, "unknown record type \"" + type + "\"");
     }
+  };
+  bool torn = false;  // a torn last line: a trial that never finished
+  if (!read_lines(path, load_line, torn)) {
+    throw IoError("checkpoint: cannot open " + path);
   }
   if (!saw_header) {
     throw IoError("checkpoint: " + path + ": missing campaign header");

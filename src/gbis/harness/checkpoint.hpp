@@ -1,8 +1,8 @@
 // Checkpoint/resume layer for experiment campaigns. A campaign is the
 // usual deterministic trial matrix (graphs × methods × starts, dense
-// trial ids) plus a journal: an append-only JSONL file, atomically
-// republished (tmp-file + rename) as each trial completes, keyed by a
-// campaign fingerprint — a 64-bit hash of the base seed, the RunConfig
+// trial ids) plus a journal: an append-only JSONL file, one flushed
+// line per completed trial (io/journal), keyed by a campaign
+// fingerprint — a 64-bit hash of the base seed, the RunConfig
 // knobs that influence outcomes, the trial enumeration, and the graph
 // contents. On restart with a journal, completed trial ids are adopted
 // and skipped; because trial `t`'s Rng depends only on (seed, t), a
@@ -13,17 +13,19 @@
 //   {"type":"trial","id":7,"status":"ok","cut":42,"cpu_seconds":0.012,
 //    "metrics":{"kl.passes":3,...},"hists":{"kl.pass_improvement":[[4,2]]}}
 //   {"type":"trial","id":9,"status":"failed","error":"..."}
-// Skipped trials are never journaled — they must rerun on resume. The
-// metrics/hists fields appear only when the campaign ran with
-// observability on and that trial recorded something; on resume they
-// are adopted verbatim, so aggregated metric summaries are reproduced
-// exactly. Convergence traces and phase timings are *not* journaled —
-// they are bulky, and the timing half is wall-clock data a resumed run
-// could not honestly replay.
+// Skipped trials are never journaled, and a line a crash tore is never
+// read: both trials rerun on resume. The metrics/hists fields appear
+// only when the campaign ran with observability on and that trial
+// recorded something; on resume they are adopted verbatim, so
+// aggregated metric summaries are reproduced exactly. Convergence
+// traces and phase timings are *not* journaled — they are bulky, and
+// the timing half is wall-clock data a resumed run could not honestly
+// replay.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -59,10 +61,10 @@ std::uint64_t campaign_fingerprint(std::uint64_t seed,
                                    std::span<const TrialSpec> trials,
                                    std::span<const Graph> graphs);
 
-/// The journal writer. Each append() rewrites the whole journal to
-/// `<path>.tmp` and renames it over `<path>` — atomic on POSIX, so a
-/// crash at any instant leaves either the previous or the new journal,
-/// never a torn one. Thread-safe.
+/// The journal writer: the constructor publishes the header and any
+/// adopted records atomically (io/journal), then each append() writes
+/// one flushed line, so a crash tears at most the last line.
+/// Thread-safe.
 class CheckpointJournal {
  public:
   /// Creates (or overwrites) the journal at `path` with a header line
@@ -72,6 +74,7 @@ class CheckpointJournal {
                     std::uint64_t num_trials,
                     std::span<const TrialRecord> initial = {});
 
+  /// Appends one trial line; throws IoError on a write error.
   void append(const TrialRecord& record);
 
   const std::string& path() const { return path_; }
@@ -83,16 +86,15 @@ class CheckpointJournal {
     std::vector<TrialRecord> records;  ///< append order; last id wins
   };
 
-  /// Parses a journal; throws IoError (with the 1-based line number and
-  /// offending text) on malformed input.
+  /// Parses a journal, skipping a torn last line (no '\n'); throws
+  /// IoError (with the 1-based line number and offending text) on
+  /// malformed input.
   static Loaded load(const std::string& path);
 
  private:
-  void publish_locked();
-
   std::mutex mutex_;
   std::string path_;
-  std::vector<std::string> lines_;  ///< header + one line per record
+  std::ofstream out_;
 };
 
 /// Campaign-level knobs on top of RunConfig.

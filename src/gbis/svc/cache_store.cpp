@@ -1,15 +1,44 @@
 #include "gbis/svc/cache_store.hpp"
 
 #include <cstdlib>
-#include <filesystem>
-#include <system_error>
 #include <utility>
 
+#include "gbis/io/journal.hpp"
 #include "gbis/methods/registry.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
+
+namespace {
+
+/// The gate both line kinds pass before their fields are read: a valid
+/// object whose CRC covers every byte before its own ",\"crc\":" suffix.
+/// A line without the suffix (or with bytes after the object) fails.
+bool sealed(const std::string& line) {
+  if (!json_object_valid(line)) return false;
+  const std::size_t crc_pos = line.rfind(",\"crc\":\"");
+  if (crc_pos == std::string::npos) return false;
+  std::string crc_text;
+  std::uint64_t crc = 0;
+  return json_parse_string(line, "crc", crc_text) &&
+         parse_hex16(crc_text, crc) &&
+         crc == SvcCacheStore::text_crc(line.substr(0, crc_pos));
+}
+
+/// Versions 1-3 replay through the same loop: version 1 is a strict
+/// subset of version 2 (no lineage lines, no "warm" fields) and version
+/// 3 only adds the optional "quality" key field. Any other first line
+/// is a foreign or future-version file: restore nothing, rewrite fresh.
+bool known_header(const std::string& line) {
+  std::string type;
+  std::uint64_t version = 0;
+  return json_object_valid(line) && json_parse_string(line, "type", type) &&
+         type == "svc_cache" && json_parse_u64(line, "version", version) &&
+         version >= 1 && version <= 3;
+}
+
+}  // namespace
 
 std::uint64_t SvcCacheStore::text_crc(const std::string& text) {
   Hash64 h;
@@ -62,19 +91,7 @@ std::string SvcCacheStore::encode_entry(const SvcCacheKey& key,
 
 bool SvcCacheStore::decode_entry(const std::string& line, SvcCacheKey& key,
                                  SvcCacheValue& value) {
-  if (!json_object_valid(line)) return false;
-  // The CRC covers every byte before its own ",\"crc\":" suffix; a line
-  // without the suffix (or with trailing bytes after the object) fails.
-  const std::size_t crc_pos = line.rfind(",\"crc\":\"");
-  if (crc_pos == std::string::npos) return false;
-  std::string crc_text;
-  std::uint64_t crc = 0;
-  if (!json_parse_string(line, "crc", crc_text) ||
-      !parse_hex16(crc_text, crc) ||
-      crc != text_crc(line.substr(0, crc_pos))) {
-    return false;
-  }
-
+  if (!sealed(line)) return false;
   std::string hex;
   if (!json_parse_string(line, "fingerprint", hex) ||
       !parse_hex16(hex, key.fingerprint)) {
@@ -165,16 +182,7 @@ bool SvcCacheStore::is_lineage_line(const std::string& line) {
 
 bool SvcCacheStore::decode_lineage(const std::string& line,
                                    LineageRecord& record) {
-  if (!json_object_valid(line)) return false;
-  const std::size_t crc_pos = line.rfind(",\"crc\":\"");
-  if (crc_pos == std::string::npos) return false;
-  std::string crc_text;
-  std::uint64_t crc = 0;
-  if (!json_parse_string(line, "crc", crc_text) ||
-      !parse_hex16(crc_text, crc) ||
-      crc != text_crc(line.substr(0, crc_pos))) {
-    return false;
-  }
+  if (!sealed(line)) return false;
   std::uint64_t tag = 0;
   if (!json_parse_u64(line, "lineage", tag) || tag != 1) return false;
   std::string hex;
@@ -210,90 +218,53 @@ bool SvcCacheStore::open_and_restore(SvcResultCache& cache,
                                      SvcLineage* lineage,
                                      SvcCacheRestore& report) {
   report = SvcCacheRestore{};
-  bool tail_damaged = false;
-  std::uint64_t valid_entries = 0;
-  std::uint64_t lineage_lines = 0;
-  {
-    std::ifstream in(path_);
-    if (in.is_open()) {
-      std::string line;
-      bool first = true;
-      bool stopped = false;
-      while (std::getline(in, line)) {
-        if (first) {
-          first = false;
-          std::string type;
-          std::uint64_t version = 0;
-          if (!json_object_valid(line) ||
-              !json_parse_string(line, "type", type) || type != "svc_cache" ||
-              !json_parse_u64(line, "version", version) ||
-              (version < 1 || version > 3)) {
-            // Foreign or future-version file: restore nothing, rewrite
-            // fresh below. Every remaining line is "dropped". Version 1
-            // is a strict subset of version 2 (no lineage lines, no
-            // "warm" fields) and version 3 only adds the optional
-            // "quality" key field, so all three replay through the
-            // same loop.
-            tail_damaged = true;
-            stopped = true;
-            ++report.lines_dropped;
-            continue;
-          }
-          continue;
-        }
-        if (stopped) {
-          ++report.lines_dropped;
-          continue;
-        }
-        if (is_lineage_line(line)) {
-          LineageRecord record;
-          if (!decode_lineage(line, record)) {
-            tail_damaged = true;
-            stopped = true;
-            ++report.lines_dropped;
-            continue;
-          }
-          ++lineage_lines;
-          if (lineage != nullptr && lineage->insert(std::move(record)).second) {
-            ++report.lineage_restored;
-          }
-          continue;
-        }
-        SvcCacheKey key;
-        SvcCacheValue value;
-        if (!decode_entry(line, key, value)) {
-          // Longest-valid-prefix semantics: a damaged line orphans
-          // everything after it (append order is the recency order, so
-          // replaying past a hole would scramble it — and a torn tail
-          // is by far the common case).
-          tail_damaged = true;
-          stopped = true;
-          ++report.lines_dropped;
-          continue;
-        }
-        cache.insert(key, std::move(value));
-        ++valid_entries;
-        ++report.entries_restored;
+  std::uint64_t lines = 0;          // lines replayed, header included
+  std::uint64_t lineage_lines = 0;  // valid lineage lines
+  const auto replay = [&](const std::string& line) {
+    if (lines++ == 0) return known_header(line);
+    if (is_lineage_line(line)) {
+      LineageRecord record;
+      if (!decode_lineage(line, record)) return false;
+      ++lineage_lines;
+      if (lineage != nullptr && lineage->insert(std::move(record)).second) {
+        ++report.lineage_restored;
       }
-      // A final line without a newline still comes back from getline;
-      // decode_entry already judged it. An empty existing file gets a
-      // header via the rewrite below.
-      if (first) tail_damaged = true;
+      return true;
     }
-  }
-
-  const bool missing = !std::filesystem::exists(path_);
+    SvcCacheKey key;
+    SvcCacheValue value;
+    if (!decode_entry(line, key, value)) return false;
+    cache.insert(key, std::move(value));
+    ++report.entries_restored;
+    return true;
+  };
+  // Longest-valid-prefix semantics: a damaged line orphans everything
+  // after it (append order is the recency order, so replaying past a
+  // hole would scramble it). A torn last line is one more dropped line:
+  // appending after it would glue the next entry onto it.
+  bool intact = true;
+  bool torn = false;
+  const bool opened = read_lines(
+      path_,
+      [&](const std::string& line) {
+        intact = intact && replay(line);
+        if (!intact) ++report.lines_dropped;
+      },
+      torn);
+  if (torn) ++report.lines_dropped;
   const bool lineage_dead_weight =
       lineage != nullptr ? lineage_lines > lineage->size() : lineage_lines > 0;
-  if (missing || tail_damaged || valid_entries > cache.stats().entries ||
+  if (!opened || lines == 0 || !intact || torn ||
+      report.entries_restored > cache.stats().entries ||
       lineage_dead_weight) {
-    // Fresh file, damaged tail, or dead weight (entries evicted during
-    // replay because the byte budget shrank, duplicates, or lineage
-    // lines the bounded store refused): rewrite the canonical snapshot.
+    // Fresh or empty file, damaged tail, or dead weight (entries evicted
+    // during replay because the byte budget shrank, duplicates, or
+    // lineage lines the bounded store refused): rewrite the canonical
+    // snapshot.
     const std::uint64_t written = rewrite(cache, lineage);
     if (!ok_) return false;
     report.bytes_written = written;
-    report.compacted = !missing;
+    report.compacted = opened;
     return true;
   }
   out_.open(path_, std::ios::app);
@@ -301,30 +272,22 @@ bool SvcCacheStore::open_and_restore(SvcResultCache& cache,
     ok_ = false;
     return false;
   }
-  file_entries_ = valid_entries + lineage_lines;
+  file_entries_ = report.entries_restored + lineage_lines;
   return true;
 }
 
 std::uint64_t SvcCacheStore::append(const SvcCacheKey& key,
                                     const SvcCacheValue& value) {
-  if (!ok_ || !out_.is_open()) return 0;
-  const std::string line = encode_entry(key, value);
-  out_ << line << '\n';
-  out_.flush();
-  if (!out_) {
-    ok_ = false;
-    return 0;
-  }
-  ++file_entries_;
-  return line.size() + 1;
+  return write_line(encode_entry(key, value));
 }
 
 std::uint64_t SvcCacheStore::append_lineage(const LineageRecord& record) {
+  return write_line(encode_lineage(record));
+}
+
+std::uint64_t SvcCacheStore::write_line(const std::string& line) {
   if (!ok_ || !out_.is_open()) return 0;
-  const std::string line = encode_lineage(record);
-  out_ << line << '\n';
-  out_.flush();
-  if (!out_) {
+  if (!append_line(out_, line)) {
     ok_ = false;
     return 0;
   }
@@ -335,54 +298,31 @@ std::uint64_t SvcCacheStore::append_lineage(const LineageRecord& record) {
 std::uint64_t SvcCacheStore::rewrite(const SvcResultCache& cache,
                                      const SvcLineage* lineage) {
   if (out_.is_open()) out_.close();
-  const std::string tmp = path_ + ".tmp";
   std::uint64_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      ok_ = false;
-      return 0;
-    }
-    const std::string header = header_line();
-    out << header << '\n';
-    written += header.size() + 1;
-    std::uint64_t entries = 0;
+  std::uint64_t lines = 0;
+  const std::string error = publish_file(path_, [&](std::ostream& out) {
+    const auto put = [&](const std::string& line) {
+      out << line << '\n';
+      written += line.size() + 1;
+      ++lines;
+    };
+    put(header_line());
+    // Lineage first, in insertion order: parents precede children, so
+    // a restore replays the DAG without forward references.
     if (lineage != nullptr) {
-      // Lineage first, in insertion order: parents precede children,
-      // so a restore replays the DAG without forward references.
-      lineage->visit([&out, &written, &entries](const LineageRecord& record) {
-        const std::string line = encode_lineage(record);
-        out << line << '\n';
-        written += line.size() + 1;
-        ++entries;
-      });
+      lineage->visit([&](const LineageRecord& r) { put(encode_lineage(r)); });
     }
-    cache.visit_lru_to_mru(
-        [&out, &written, &entries](const SvcCacheKey& key,
-                                   const SvcCacheValue& value) {
-          const std::string line = encode_entry(key, value);
-          out << line << '\n';
-          written += line.size() + 1;
-          ++entries;
-        });
-    out.flush();
-    if (!out) {
-      ok_ = false;
-      return 0;
-    }
-    file_entries_ = entries;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
+    cache.visit_lru_to_mru([&](const SvcCacheKey& key,
+                               const SvcCacheValue& value) {
+      put(encode_entry(key, value));
+    });
+  });
+  if (error.empty()) out_.open(path_, std::ios::app);
+  if (!error.empty() || !out_) {
     ok_ = false;
     return 0;
   }
-  out_.open(path_, std::ios::app);
-  if (!out_) {
-    ok_ = false;
-    return 0;
-  }
+  file_entries_ = lines - 1;  // the header is not an entry
   return written;
 }
 

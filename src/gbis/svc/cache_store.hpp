@@ -1,7 +1,7 @@
 // Durable backing store for the partition service's result cache
 // (svc/cache): an append-only JSONL journal with CRC-guarded lines and
-// atomic tmp+rename compaction — the same publish idiom as the
-// campaign checkpoint journal (harness/checkpoint).
+// atomic tmp+rename compaction, written and read through io/journal
+// like the campaign checkpoint journal (harness/checkpoint).
 //
 // File format (one flat JSON object per line, util/json_lite contract):
 //
@@ -22,11 +22,12 @@
 // subsystem's derivation edges (dyn/lineage) — identity only, no
 // vertex maps — so a warm restart can answer repeated mutates
 // byte-identically; restored edges are non-projectable until the chain
-// is re-materialized. A crash mid-append leaves a torn tail; the CRC
-// (or the structural gate) rejects it, and restore falls back to the
-// longest valid prefix — corruption never crashes the service and a
-// damaged line is never served. Version-1 files (no lineage lines, no
-// warm fields) restore unchanged.
+// is re-materialized. A crash mid-append leaves a torn tail, a last
+// line without its '\n' that restore never reads; a damaged complete
+// line fails the CRC (or the structural gate). Either way restore falls
+// back to the longest valid prefix and compacts — corruption never
+// crashes the service and a damaged line is never served. Version-1
+// files (no lineage lines, no warm fields) restore unchanged.
 //
 // Restore replays valid entries in append order into the LRU (so the
 // recency order survives a restart), then compacts the file when the
@@ -65,10 +66,10 @@ class SvcCacheStore {
   /// Opens the journal and replays its longest valid prefix into
   /// `cache` and (when non-null) `lineage` (both should be empty).
   /// Tolerates a missing file (fresh journal), a torn or corrupt tail
-  /// (drops it), and a foreign or wrong-version header (restores
-  /// nothing, rewrites fresh). Returns false only when the path cannot
-  /// be opened for writing — the one condition the caller should treat
-  /// as fatal configuration.
+  /// (drops it and compacts), and a foreign or wrong-version header
+  /// (restores nothing, rewrites fresh). Returns false only when the
+  /// path cannot be opened for writing — the one condition the caller
+  /// should treat as fatal configuration.
   bool open_and_restore(SvcResultCache& cache, SvcLineage* lineage,
                         SvcCacheRestore& report);
 
@@ -113,6 +114,7 @@ class SvcCacheStore {
   static std::uint64_t text_crc(const std::string& text);
 
  private:
+  std::uint64_t write_line(const std::string& line);
   std::uint64_t rewrite(const SvcResultCache& cache,
                         const SvcLineage* lineage);
 

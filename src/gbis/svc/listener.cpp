@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 
 #include <arpa/inet.h>
@@ -20,6 +18,7 @@
 
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/io/io_error.hpp"
+#include "gbis/io/journal.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
@@ -175,20 +174,12 @@ void Listener::start() {
 
 void Listener::publish_ready_file() const {
   if (options_.ready_file.empty()) return;
-  const std::string tmp = options_.ready_file + ".tmp";
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) throw IoError("listener: cannot open ready file " + tmp);
-  if (!tcp_bound_.empty()) out << "tcp " << tcp_bound_ << '\n';
-  if (unix_bound_) out << "unix " << options_.unix_path << '\n';
-  out.flush();
-  if (!out) throw IoError("listener: ready file write failed: " + tmp);
-  out.close();
-  std::error_code ec;
-  std::filesystem::rename(tmp, options_.ready_file, ec);
-  if (ec) {
-    throw IoError("listener: cannot publish ready file " +
-                  options_.ready_file + ": " + ec.message());
-  }
+  const std::string error =
+      publish_file(options_.ready_file, [this](std::ostream& out) {
+        if (!tcp_bound_.empty()) out << "tcp " << tcp_bound_ << '\n';
+        if (unix_bound_) out << "unix " << options_.unix_path << '\n';
+      });
+  if (!error.empty()) throw IoError("listener: ready file: " + error);
 }
 
 void Listener::stop_accepting() {

@@ -1095,12 +1095,10 @@ void Service::process_batch(std::vector<std::string>& out,
   // and surface a write failure exactly once (the service keeps
   // serving; durability is degraded until restart).
   if (store_ != nullptr) {
-    if (store_->ok()) {
-      const std::uint64_t rewritten = store_->maybe_compact(cache_, &lineage_);
-      if (rewritten > 0) {
-        metrics_.counter(Counter::kSvcCacheJournalBytes) += rewritten;
-        ++metrics_.counter(Counter::kSvcCacheCompactions);
-      }
+    const std::uint64_t rewritten = store_->maybe_compact(cache_, &lineage_);
+    if (rewritten > 0) {
+      metrics_.counter(Counter::kSvcCacheJournalBytes) += rewritten;
+      ++metrics_.counter(Counter::kSvcCacheCompactions);
     }
     if (!store_->ok() && !store_warned_) {
       store_warned_ = true;

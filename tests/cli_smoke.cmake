@@ -31,8 +31,13 @@ endforeach()
 
 # Campaign: run the trial matrix with a journal, then resume the same
 # journal — the second run must adopt every trial instead of rerunning.
-run(campaign kl,ckl --starts 2 --journal ${WORK_DIR}/c.jsonl
-    ${WORK_DIR}/g.graph --seed 7)
+execute_process(COMMAND ${GBIS_CLI} campaign kl,ckl --starts 2
+    --journal ${WORK_DIR}/c.jsonl ${WORK_DIR}/g.graph --seed 7
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE campaign_out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "campaign failed (${code}): ${campaign_out} ${err}")
+endif()
 if(NOT EXISTS ${WORK_DIR}/c.jsonl)
   message(FATAL_ERROR "campaign journal missing: c.jsonl")
 endif()
@@ -45,6 +50,34 @@ if(NOT code EQUAL 0)
 endif()
 if(NOT out MATCHES "4 resumed")
   message(FATAL_ERROR "campaign resume did not adopt the journal: ${out}")
+endif()
+
+# A crash mid-append tears the journal's last line: resume a copy whose
+# last line is cut in half. The torn trial never finished, so it reruns
+# (3 resumed), and the cut table matches the uninterrupted run's.
+file(READ ${WORK_DIR}/c.jsonl journal)
+string(LENGTH "${journal}" journal_len)
+math(EXPR body_len "${journal_len} - 1")
+string(SUBSTRING "${journal}" 0 ${body_len} body)
+string(FIND "${body}" "\n" last_nl REVERSE)
+math(EXPR torn_len "${last_nl} + 1 + (${body_len} - ${last_nl} - 1) / 2")
+string(SUBSTRING "${journal}" 0 ${torn_len} torn)
+file(WRITE ${WORK_DIR}/c_torn.jsonl "${torn}")
+execute_process(COMMAND ${GBIS_CLI} campaign kl,ckl --starts 2
+    --resume ${WORK_DIR}/c_torn.jsonl ${WORK_DIR}/g.graph --seed 7
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "torn-journal resume failed (${code}): ${out} ${err}")
+endif()
+if(NOT out MATCHES "3 resumed")
+  message(FATAL_ERROR "torn-journal resume did not rerun the torn trial: ${out}")
+endif()
+string(REGEX REPLACE "trials:[^\n]*" "" torn_table "${out}")
+string(REGEX REPLACE "trials:[^\n]*" "" campaign_table "${campaign_out}")
+if(NOT torn_table STREQUAL campaign_table)
+  message(FATAL_ERROR "torn-journal resume changed the cut table:\n"
+    "${torn_table}\nexpected:\n${campaign_table}")
 endif()
 
 # Failure injection: bad inputs must exit with the documented codes,

@@ -4,8 +4,12 @@
 // because trial t's Rng depends only on (seed, t), a campaign that is
 // faulted, interrupted, journaled, and resumed reports cuts
 // bit-identical to an uninterrupted run — for any thread count.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -43,6 +47,16 @@ Graph test_graph() {
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 // --- Deadline --------------------------------------------------------------
@@ -370,6 +384,58 @@ TEST(CheckpointJournal, LoadErrorsNameTheLine) {
   }
 }
 
+// A crash mid-append tears at most the last line. Cut a journal at
+// every byte past its header: load returns exactly the trials whose
+// '\n' survived, and never throws on (or adopts) a torn prefix — the
+// scanner would read `"cut":4` out of a torn `"cut":42`.
+TEST(CheckpointJournal, EveryTruncationLoadsExactlyTheCompleteTrials) {
+  auto tm = std::make_shared<TrialMetrics>();
+  tm->counters[static_cast<std::size_t>(Counter::kKlPasses)] = 3;
+  tm->hists[static_cast<std::size_t>(Hist::kKlPassImprovement)].observe(4);
+  const std::vector<TrialRecord> records = {
+      {0, TrialStatus::kOk, 42, 0.5, "", nullptr},
+      {1, TrialStatus::kFailed, 0, 0.25, "metis: line 2: \"quoted\"\nnewline",
+       nullptr},
+      {2, TrialStatus::kOk, 17, 0.125, "", tm},
+      {3, TrialStatus::kTimedOut, 0, 1.0, "deadline", nullptr},
+      {4, TrialStatus::kOk, 1234567, 0.0625, "", nullptr},
+      {5, TrialStatus::kOk, 9, 3.0, "", tm}};
+  const std::string path = temp_path("journal_torn_source.jsonl");
+  {
+    CheckpointJournal journal(path, 0x0123456789abcdefULL, records.size());
+    for (const TrialRecord& record : records) journal.append(record);
+  }
+  const std::string bytes = read_file(path);
+  const std::size_t header_end = bytes.find('\n') + 1;
+  const std::string torn = temp_path("journal_torn.jsonl");
+  for (std::size_t cut = header_end; cut <= bytes.size(); ++cut) {
+    write_file(torn, bytes.substr(0, cut));
+    const std::size_t complete = static_cast<std::size_t>(
+        std::count(bytes.begin() + header_end, bytes.begin() + cut, '\n'));
+    CheckpointJournal::Loaded loaded;
+    ASSERT_NO_THROW(loaded = CheckpointJournal::load(torn)) << "cut " << cut;
+    ASSERT_EQ(loaded.records.size(), complete) << "cut " << cut;
+    for (std::size_t i = 0; i < complete; ++i) {
+      const TrialRecord& got = loaded.records[i];
+      const TrialRecord& want = records[i];
+      ASSERT_EQ(got.trial_id, want.trial_id) << "cut " << cut;
+      ASSERT_EQ(got.status, want.status) << "cut " << cut;
+      ASSERT_EQ(got.cut, want.cut) << "cut " << cut;
+      ASSERT_EQ(got.cpu_seconds, want.cpu_seconds) << "cut " << cut;
+      ASSERT_EQ(got.error, want.error) << "cut " << cut;
+      ASSERT_EQ(got.metrics != nullptr, want.metrics != nullptr) << cut;
+      if (want.metrics != nullptr) {
+        ASSERT_EQ(got.metrics->counters, want.metrics->counters) << cut;
+        for (std::size_t h = 0; h < kNumHists; ++h) {
+          ASSERT_EQ(got.metrics->hists[h].buckets,
+                    want.metrics->hists[h].buckets)
+              << "cut " << cut << " hist " << h;
+        }
+      }
+    }
+  }
+}
+
 TEST(CheckpointFingerprint, SensitiveToInputsButNotThreads) {
   const Graph g = test_graph();
   const Graph graphs[] = {g};
@@ -467,32 +533,45 @@ TEST(Campaign, KillAndResumeIsBitIdentical) {
       EXPECT_EQ(record.status, TrialStatus::kOk);
     }
 
-    // Resume: adopt the journal, run the rest, compare everything.
-    CampaignOptions resume;
-    resume.journal_path = path;
-    resume.resume_path = path;
-    resume.faults = &no_faults;
-    const CampaignResult resumed =
-        run_campaign(graphs, methods, config, seed, resume);
-    EXPECT_FALSE(resumed.interrupted);
-    EXPECT_EQ(resumed.ok, 6u);
-    EXPECT_EQ(resumed.resumed, partial.ok);
+    // A crash mid-append instead: the same journal with its last line
+    // cut in half. That trial never finished, so it reruns.
+    ASSERT_GT(partial.ok, 0u);
+    const std::string torn =
+        temp_path("journal_torn_" + std::to_string(threads) + ".jsonl");
+    const std::string bytes = read_file(path);
+    const std::size_t last = bytes.rfind('\n', bytes.size() - 2) + 1;
+    write_file(torn, bytes.substr(0, last + (bytes.size() - last) / 2));
 
-    ASSERT_EQ(resumed.trials.size(), reference.trials.size());
-    for (std::size_t t = 0; t < reference.trials.size(); ++t) {
-      EXPECT_EQ(resumed.trials[t].status, TrialStatus::kOk) << t;
-      EXPECT_EQ(resumed.trials[t].cut, reference.trials[t].cut)
-          << "trial " << t << " at " << threads << " threads";
-    }
-    ASSERT_EQ(resumed.cells.size(), reference.cells.size());
-    for (std::size_t c = 0; c < reference.cells.size(); ++c) {
-      EXPECT_EQ(resumed.cells[c].best_cut, reference.cells[c].best_cut)
-          << "cell " << c << " at " << threads << " threads";
-      EXPECT_EQ(resumed.cells[c].best_start, reference.cells[c].best_start);
-    }
+    // Resume in place from each: adopt, run the rest, compare everything.
+    for (const auto& [journal, adopted] :
+         {std::pair{path, partial.ok}, std::pair{torn, partial.ok - 1}}) {
+      CampaignOptions resume;
+      resume.journal_path = journal;
+      resume.resume_path = journal;
+      resume.faults = &no_faults;
+      const CampaignResult resumed =
+          run_campaign(graphs, methods, config, seed, resume);
+      EXPECT_FALSE(resumed.interrupted);
+      EXPECT_EQ(resumed.ok, 6u);
+      EXPECT_EQ(resumed.resumed, adopted) << journal;
 
-    // The completed journal now covers every trial.
-    EXPECT_EQ(CheckpointJournal::load(path).records.size(), 6u);
+      ASSERT_EQ(resumed.trials.size(), reference.trials.size());
+      for (std::size_t t = 0; t < reference.trials.size(); ++t) {
+        EXPECT_EQ(resumed.trials[t].status, TrialStatus::kOk) << t;
+        EXPECT_EQ(resumed.trials[t].cut, reference.trials[t].cut)
+            << "trial " << t << " at " << threads << " threads, " << journal;
+      }
+      ASSERT_EQ(resumed.cells.size(), reference.cells.size());
+      for (std::size_t c = 0; c < reference.cells.size(); ++c) {
+        EXPECT_EQ(resumed.cells[c].best_cut, reference.cells[c].best_cut)
+            << "cell " << c << " at " << threads << " threads, " << journal;
+        EXPECT_EQ(resumed.cells[c].best_start,
+                  reference.cells[c].best_start);
+      }
+
+      // The completed journal now covers every trial.
+      EXPECT_EQ(CheckpointJournal::load(journal).records.size(), 6u);
+    }
   }
 }
 

@@ -1,13 +1,20 @@
 // Unit tests for graph serialization: round-trips and failure
-// injection on malformed inputs.
+// injection on malformed inputs; and io/journal, the one way gbis makes
+// a file durable.
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/io/edge_list.hpp"
+#include "gbis/io/journal.hpp"
 #include "gbis/io/metis.hpp"
 
 namespace gbis {
@@ -171,6 +178,87 @@ TEST(Metis, CrossFormatConsistency) {
   write_edge_list(el, g);
   write_metis(mt, g);
   expect_same_graph(read_edge_list(el), read_metis(mt));
+}
+
+// --- io/journal ------------------------------------------------------------
+
+std::string journal_file(const std::string& name, const std::string& bytes) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  return path;
+}
+
+struct ReadBack {
+  bool opened = false;
+  bool torn = true;
+  std::vector<std::string> lines;
+};
+
+ReadBack read_back(const std::string& path) {
+  ReadBack r;
+  r.opened = read_lines(
+      path, [&r](const std::string& line) { r.lines.push_back(line); },
+      r.torn);
+  return r;
+}
+
+TEST(Journal, ReadLinesVisitsOnlyTerminatedLines) {
+  using Lines = std::vector<std::string>;
+  const ReadBack terminated =
+      read_back(journal_file("journal_terminated.txt", "a\n\nbc\n"));
+  EXPECT_TRUE(terminated.opened);
+  EXPECT_FALSE(terminated.torn);
+  EXPECT_EQ(terminated.lines, (Lines{"a", "", "bc"}));
+
+  // The tail after the last '\n' is an append that never finished.
+  const ReadBack unterminated =
+      read_back(journal_file("journal_unterminated.txt", "a\nbc"));
+  EXPECT_TRUE(unterminated.opened);
+  EXPECT_TRUE(unterminated.torn);
+  EXPECT_EQ(unterminated.lines, (Lines{"a"}));
+
+  const ReadBack empty = read_back(journal_file("journal_empty.txt", ""));
+  EXPECT_TRUE(empty.opened);
+  EXPECT_FALSE(empty.torn);
+  EXPECT_TRUE(empty.lines.empty());
+
+  const std::string missing = testing::TempDir() + "journal_missing.txt";
+  std::remove(missing.c_str());
+  const ReadBack none = read_back(missing);
+  EXPECT_FALSE(none.opened);
+  EXPECT_FALSE(none.torn);
+  EXPECT_TRUE(none.lines.empty());
+}
+
+TEST(Journal, AppendLineFlushesOneTerminatedLine) {
+  const std::string path = journal_file("journal_append.txt", "");
+  std::ofstream out(path, std::ios::app);
+  ASSERT_TRUE(append_line(out, "{\"a\":1}"));
+  // Flushed: a reader sees the line while the writer is still open.
+  const ReadBack r = read_back(path);
+  EXPECT_FALSE(r.torn);
+  EXPECT_EQ(r.lines, std::vector<std::string>{"{\"a\":1}"});
+}
+
+TEST(Journal, PublishFileReplacesTheWholeFile) {
+  const std::string path = journal_file("journal_publish.txt", "old\nold\n");
+  EXPECT_EQ(publish_file(path, [](std::ostream& out) { out << "new\n"; }),
+            "");
+  EXPECT_EQ(read_back(path).lines, std::vector<std::string>{"new"});
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(Journal, PublishIntoAMissingDirectoryNamesTheTmpFile) {
+  const std::string dir = testing::TempDir() + "journal_no_such_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/out.txt";
+  bool wrote = false;
+  const std::string error = publish_file(path, [&wrote](std::ostream&) {
+    wrote = true;
+  });
+  EXPECT_NE(error.find(path + ".tmp"), std::string::npos) << error;
+  EXPECT_FALSE(wrote);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

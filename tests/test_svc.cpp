@@ -1552,55 +1552,140 @@ TEST(SvcCacheStore, RestoreReplaysAppendsAndPreservesRecency) {
   EXPECT_EQ(newest->sides, (std::vector<std::uint8_t>{0, 1, 1, 0}));
 }
 
-TEST(SvcCacheStore, CorruptionCorpusFallsBackToTheLongestValidPrefix) {
-  const SvcCacheKey key_a = store_key(1), key_b = store_key(2);
-  const std::string good_a =
-      SvcCacheStore::encode_entry(key_a, store_value(10));
-  const std::string good_b =
-      SvcCacheStore::encode_entry(key_b, store_value(20));
-  const std::string header = SvcCacheStore::header_line();
-
-  struct Case {
-    const char* name;
-    std::string tail;        // appended after two good entries
-    std::uint64_t restored;  // entries the warm start must recover
-  };
-  std::string flipped = good_b;
-  flipped[flipped.find("\"cut\":") + 6] ^= 1;  // payload byte under the CRC
-  const std::vector<Case> corpus = {
-      {"truncated_line", good_b.substr(0, good_b.size() / 2), 2},
-      {"bad_crc", flipped, 2},
-      {"garbage_bytes", "\x01\x02binary junk not json", 2},
-      {"valid_json_wrong_shape", "{\"type\":\"not_an_entry\"}", 2},
-  };
-  for (const Case& test_case : corpus) {
-    const std::string path =
-        temp_journal(std::string("svc_store_") + test_case.name + ".jsonl");
-    {
-      std::ofstream out(path);
-      out << header << '\n' << good_a << '\n' << good_b << '\n'
-          << test_case.tail << '\n';
+// Writes `bytes` as a journal, restores it, and checks the restore
+// against the journal's `kinds` (one per line; 'h' header, 'e' entry,
+// 'l' lineage) when only its first `intact` lines survive: exactly the
+// entries and lineage edges on those lines come back, every other line
+// counts as dropped, damage is compacted away, and the compacted file
+// re-reads with nothing dropped.
+void expect_restores_intact_prefix(const std::string& bytes,
+                                   const std::string& kinds,
+                                   std::size_t intact, bool damaged,
+                                   const std::string& what) {
+  const std::string path = temp_journal("svc_store_corpus.jsonl");
+  std::ofstream(path, std::ios::binary) << bytes;
+  const std::size_t lines = static_cast<std::size_t>(
+      std::count(bytes.begin(), bytes.end(), '\n') +
+      (!bytes.empty() && bytes.back() != '\n' ? 1 : 0));
+  std::uint64_t entries = 0, edges = 0;
+  for (std::size_t i = 1; i < intact; ++i) {
+    (kinds[i] == 'e' ? entries : edges) += 1;
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    SvcResultCache cache(1 << 20);
+    SvcLineage lineage(8, 16);
+    SvcCacheStore store(path);
+    SvcCacheRestore report;
+    ASSERT_TRUE(store.open_and_restore(cache, &lineage, report)) << what;
+    ASSERT_EQ(report.entries_restored, entries) << what << " pass " << pass;
+    ASSERT_EQ(report.lineage_restored, edges) << what << " pass " << pass;
+    if (pass == 1) {
+      ASSERT_EQ(report.lines_dropped, 0u) << what;
+      ASSERT_FALSE(report.compacted) << what;
+      continue;
     }
+    ASSERT_EQ(report.lines_dropped, lines - std::min(lines, intact)) << what;
+    ASSERT_EQ(report.compacted, damaged) << what;
+    // The valid prefix is served; a damaged line never is.
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      const SvcCacheValue* hit = cache.lookup(store_key(k + 1));
+      ASSERT_EQ(hit != nullptr, k < entries) << what << " key " << k;
+      if (hit != nullptr) {
+        ASSERT_EQ(hit->cut, Weight(10 * (k + 1))) << what;
+      }
+    }
+  }
+}
+
+TEST(SvcCacheStore, CorruptionCorpusFallsBackToTheLongestValidPrefix) {
+  // Header, two entries, a lineage edge, a third entry.
+  LineageRecord edge;
+  edge.parent = 0xaa;
+  edge.child = 0xbb;
+  edge.batch_hash = 0xcc;
+  edge.adds = 1;
+  edge.edit_distance = 1;
+  edge.parent_vertices = 4;
+  edge.child_vertices = 4;
+  edge.child_edges = 5;
+  const std::vector<std::string> lines = {
+      SvcCacheStore::header_line(),
+      SvcCacheStore::encode_entry(store_key(1), store_value(10)),
+      SvcCacheStore::encode_entry(store_key(2), store_value(20)),
+      SvcCacheStore::encode_lineage(edge),
+      SvcCacheStore::encode_entry(store_key(3), store_value(30))};
+  const std::string kinds = "heele";
+  std::string bytes;
+  for (const std::string& line : lines) bytes += line + '\n';
+  const auto lines_before = [&bytes](std::size_t offset) {
+    return static_cast<std::size_t>(
+        std::count(bytes.begin(), bytes.begin() + offset, '\n'));
+  };
+
+  // A crash tears the tail at any byte: every '\n'-terminated line
+  // survives, and a torn last line is dropped, never appended to.
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const bool torn = cut > 0 && bytes[cut - 1] != '\n';
+    ASSERT_NO_FATAL_FAILURE(expect_restores_intact_prefix(
+        bytes.substr(0, cut), kinds, lines_before(cut), torn || cut == 0,
+        "truncated at " + std::to_string(cut)));
+  }
+
+  // One flipped bit or case anywhere damages exactly the line holding
+  // it (a flipped '\n' merges two lines into one damaged line). The one
+  // flip that leaves a valid journal is the header's version digit
+  // turning 3 into 2, an older header the same entries replay under.
+  const std::size_t version_digit = bytes.find('3');
+  ASSERT_LT(version_digit, lines[0].size());
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = bytes;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      const bool older_header = at == version_digit && mask == 0x01;
+      ASSERT_NO_FATAL_FAILURE(expect_restores_intact_prefix(
+          flipped, kinds, older_header ? lines.size() : lines_before(at),
+          !older_header,
+          "byte " + std::to_string(at) + " ^ " + std::to_string(mask)));
+    }
+  }
+
+  // Complete lines that are not entries at all.
+  for (const std::string tail : {"\x01\x02" "binary junk not json",
+                                 "{\"type\":\"not_an_entry\"}"}) {
+    ASSERT_NO_FATAL_FAILURE(expect_restores_intact_prefix(
+        bytes + tail + '\n', kinds + 'x', lines.size(), true, tail));
+  }
+}
+
+// A final line that is a complete entry but lacks its '\n' was never
+// acknowledged (the append flushes before the response goes out). At
+// restore it is dropped and compacted away; appending after it would
+// glue the next entry onto it and lose both at the next restart.
+TEST(SvcCacheStore, UnterminatedLastLineIsDroppedNotAppendedTo) {
+  const std::string path = temp_journal("svc_store_unterminated.jsonl");
+  std::ofstream(path, std::ios::binary)
+      << SvcCacheStore::header_line() << '\n'
+      << SvcCacheStore::encode_entry(store_key(1), store_value(10));
+  {
     SvcResultCache cache(1 << 20);
     SvcCacheStore store(path);
     SvcCacheRestore report;
-    ASSERT_TRUE(store.open_and_restore(cache, nullptr, report)) << test_case.name;
-    EXPECT_EQ(report.entries_restored, test_case.restored) << test_case.name;
-    EXPECT_GE(report.lines_dropped, 1u) << test_case.name;
-    EXPECT_TRUE(report.compacted) << test_case.name;  // damage rewritten away
-    // The valid prefix is served; the damaged line never is.
-    ASSERT_NE(cache.lookup(key_a), nullptr) << test_case.name;
-    const SvcCacheValue* b = cache.lookup(key_b);
-    ASSERT_NE(b, nullptr) << test_case.name;
-    EXPECT_EQ(b->cut, 20) << test_case.name;
-    // And the rewritten journal is fully valid again.
-    SvcResultCache again(1 << 20);
-    SvcCacheStore reread(path);
-    SvcCacheRestore second;
-    ASSERT_TRUE(reread.open_and_restore(again, nullptr, second)) << test_case.name;
-    EXPECT_EQ(second.entries_restored, test_case.restored) << test_case.name;
-    EXPECT_EQ(second.lines_dropped, 0u) << test_case.name;
+    ASSERT_TRUE(store.open_and_restore(cache, nullptr, report));
+    EXPECT_EQ(report.entries_restored, 0u);
+    EXPECT_EQ(report.lines_dropped, 1u);
+    EXPECT_TRUE(report.compacted);
+    cache.insert(store_key(2), store_value(20));
+    ASSERT_GT(store.append(store_key(2), store_value(20)), 0u);
   }
+  SvcResultCache cache(1 << 20);
+  SvcCacheStore store(path);
+  SvcCacheRestore report;
+  ASSERT_TRUE(store.open_and_restore(cache, nullptr, report));
+  EXPECT_EQ(report.entries_restored, 1u);
+  EXPECT_EQ(report.lines_dropped, 0u);
+  const SvcCacheValue* acknowledged = cache.lookup(store_key(2));
+  ASSERT_NE(acknowledged, nullptr);
+  EXPECT_EQ(acknowledged->cut, 20);
 }
 
 TEST(SvcCacheStore, ForeignOrWrongVersionHeaderRestoresNothing) {

@@ -25,8 +25,7 @@ command -v jq >/dev/null || { echo "bench_snapshot: jq not found" >&2; exit 1; }
 
 # The microbenchmarks only: table reproducers take minutes and print
 # human-layout tables, not machine-readable timings.
-micro_benches=(micro_kl micro_sa micro_compaction micro_gen micro_obs
-               svc_throughput svc_incremental)
+micro_benches=(micro_kl micro_sa micro_compaction micro_gen micro_obs)
 
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
@@ -62,16 +61,7 @@ jq -s \
       cpu_time_ns:  (if .time_unit == "ms" then .cpu_time * 1e6
                      elif .time_unit == "us" then .cpu_time * 1e3
                      else .cpu_time end)
-    }
-    # Optional per-case service telemetry (svc_throughput emits these
-    # as benchmark counters); absent for cases that do not report them.
-    # restored_entries / post_restart_hit_ratio come from the
-    # warm-restart cases (svc/cache_store); edit_distance / mean_cut /
-    # warm_ratio from the incremental re-solve cases (svc_incremental).
-    + ({latency_p50_us, latency_p99_us, hit_ratio,
-        restored_entries, post_restart_hit_ratio,
-        edit_distance, mean_cut, warm_ratio}
-       | with_entries(select(.value != null))) ]
+    } ]
   }' "$tmp_dir"/*.json >"$out_file"
 
 echo "bench_snapshot: wrote $out_file ($(jq '.benchmarks | length' "$out_file") cases)" >&2

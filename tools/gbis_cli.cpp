@@ -61,6 +61,7 @@
 #include "gbis/io/dot.hpp"
 #include "gbis/io/edge_list.hpp"
 #include "gbis/io/io_error.hpp"
+#include "gbis/io/journal.hpp"
 #include "gbis/io/metis.hpp"
 #include "gbis/io/partition_io.hpp"
 #include "gbis/methods/registry.hpp"
@@ -714,23 +715,13 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
   }
 
   // --stats-file: a Prometheus text exposition of the service metrics,
-  // republished atomically (tmp + rename) at most every
+  // republished atomically (io/journal publish_file) at most every
   // --stats-interval seconds, plus once at exit.
   const auto write_stats_snapshot = [&service, &stats_path]() {
     if (stats_path.empty()) return;
-    const std::string tmp = stats_path + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw IoError("serve: cannot open stats file " + tmp);
-    service.write_prom(out);
-    out.flush();
-    if (!out) throw IoError("serve: stats write failed: " + tmp);
-    out.close();
-    std::error_code ec;
-    std::filesystem::rename(tmp, stats_path, ec);
-    if (ec) {
-      throw IoError("serve: cannot publish stats file " + stats_path + ": " +
-                    ec.message());
-    }
+    const std::string error = publish_file(
+        stats_path, [&service](std::ostream& out) { service.write_prom(out); });
+    if (!error.empty()) throw IoError("serve: stats file: " + error);
   };
   const WallTimer stats_clock;
   double last_stats_write = 0;

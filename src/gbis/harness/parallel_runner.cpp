@@ -230,6 +230,17 @@ std::vector<TrialResult> run_trials_ex(std::span<const Graph> graphs,
   }
   if (progress != nullptr) progress->finish();
 
+  // run_trial maps every trial error to a status, so a job that threw
+  // failed outside it: in the on_complete hook, say, when a checkpoint
+  // append hit a full disk. Dropping that error would report a short
+  // journal as a finished campaign. The batch is settled; rethrow the
+  // first such error in trial-id order.
+  for (const JobOutcome& outcome : outcomes) {
+    if (outcome.state == JobState::kError) {
+      std::rethrow_exception(outcome.error);
+    }
+  }
+
   // Exports run once the whole batch is settled so the files always
   // describe a complete, trial-id-ordered result set.
   if (!config.obs.metrics_path.empty() || !config.obs.trace_dir.empty()) {

@@ -96,7 +96,9 @@ struct TrialRunOptions {
   const FaultPlan* faults = nullptr;
   /// Checkpoint hook: called once per *executed* trial as it completes
   /// (any order; calls are serialized internally). Not called for
-  /// skipped or precompleted trials.
+  /// skipped or precompleted trials. An exception it throws does not
+  /// stop the batch: once every trial has settled, run_trials_ex
+  /// rethrows the first one in trial-id order.
   std::function<void(std::uint64_t trial_id, const TrialResult&)>
       on_complete;
   /// Resume support: results adopted by trial id without re-running.

@@ -43,7 +43,7 @@ void update_gains_after_swap(const Graph& g,
 }
 
 void update_gains_after_move(const Graph& g,
-                             const std::vector<std::uint8_t>& sides, Vertex v,
+                             std::span<const std::uint8_t> sides, Vertex v,
                              std::vector<Weight>& gains) {
   const std::uint8_t side_v = sides[v];
   const auto nbrs = g.neighbors(v);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gbis/graph/graph.hpp"
@@ -40,7 +41,7 @@ void update_gains_after_swap(const Graph& g,
 /// and g_v flips sign. `sides` must describe the partition *before* the
 /// move. O(deg v).
 void update_gains_after_move(const Graph& g,
-                             const std::vector<std::uint8_t>& sides, Vertex v,
+                             std::span<const std::uint8_t> sides, Vertex v,
                              std::vector<Weight>& gains);
 
 }  // namespace gbis

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "gbis/obs/metrics.hpp"
 #include "gbis/partition/balance.hpp"
+#include "gbis/partition/gains.hpp"
 #include "gbis/sa/schedule.hpp"
 
 namespace gbis {
@@ -21,14 +23,15 @@ std::int64_t signed_diff(const Bisection& b) {
 }
 
 /// Cost change of flipping v: -gain (cut part) plus the penalty delta.
-double flip_delta(const Bisection& b, Vertex v, double alpha) {
+double flip_delta(const Bisection& b, std::span<const Weight> gains, Vertex v,
+                  double alpha) {
   const std::int64_t d = signed_diff(b);
   // Moving from side 0: d -> d - 2; from side 1: d -> d + 2.
   const std::int64_t d_after = b.side(v) == 0 ? d - 2 : d + 2;
   const double penalty_delta =
       alpha * (static_cast<double>(d_after) * static_cast<double>(d_after) -
                static_cast<double>(d) * static_cast<double>(d));
-  return -static_cast<double>(b.gain(v)) + penalty_delta;
+  return -static_cast<double>(gains[v]) + penalty_delta;
 }
 
 /// Draws a uniformly random vertex on `side` by rejection (the walk
@@ -43,9 +46,15 @@ Vertex random_on_side(const Bisection& b, std::uint32_t n, int side,
 
 /// Cost change of swapping opposite-side vertices a and b:
 /// -(g_a + g_b - 2 w(a, b)).
-double swap_delta(const Bisection& b, Vertex a, Vertex v) {
-  return -static_cast<double>(b.gain(a) + b.gain(v) -
-                              2 * b.graph().edge_weight(a, v));
+double swap_delta(const Graph& g, std::span<const Weight> gains, Vertex a,
+                  Vertex b) {
+  return -static_cast<double>(pair_gain(g, a, b, gains[a], gains[b]));
+}
+
+/// Moves v, keeping `gains` equal to every vertex's current gain.
+void tracked_move(Bisection& b, std::vector<Weight>& gains, Vertex v) {
+  update_gains_after_move(b.graph(), b.sides(), v, gains);
+  b.move(v);
 }
 
 }  // namespace
@@ -70,6 +79,9 @@ SaStats sa_refine(Bisection& bisection, Rng& rng, const SaOptions& options,
     // never repair imbalance, so start from an exact bisection.
     rebalance(bisection);
   }
+  // Every proposal reads its gain here in O(1); each accepted move
+  // updates it in O(deg).
+  std::vector<Weight> gains = all_gains(bisection);
 
   // --- Initial temperature -------------------------------------------------
   double t0 = options.initial_temperature;
@@ -83,10 +95,10 @@ SaStats sa_refine(Bisection& bisection, Rng& rng, const SaOptions& options,
       if (swap_moves) {
         const Vertex a = random_on_side(bisection, n, 0, rng);
         const Vertex b = random_on_side(bisection, n, 1, rng);
-        delta = swap_delta(bisection, a, b);
+        delta = swap_delta(g, gains, a, b);
       } else {
         const auto v = static_cast<Vertex>(rng.below(n));
-        delta = flip_delta(bisection, v, options.imbalance_alpha);
+        delta = flip_delta(bisection, gains, v, options.imbalance_alpha);
       }
       if (delta > 0.0) uphill.push_back(delta);
     }
@@ -116,6 +128,7 @@ SaStats sa_refine(Bisection& bisection, Rng& rng, const SaOptions& options,
           stagnant_streak < options.stagnation_temperatures) &&
          schedule.temperature() > kMinTemperature) {
     std::uint64_t accepted = 0;
+    std::uint64_t changed = 0;  // accepted moves with delta != 0
     std::uint64_t proposed = 0;
     std::uint64_t polls = 0;
     bool best_improved = false;
@@ -135,23 +148,27 @@ SaStats sa_refine(Bisection& bisection, Rng& rng, const SaOptions& options,
       ++stats.moves_proposed;
       ++proposed;
       bool accept = false;
+      double delta = 0.0;
       if (swap_moves) {
         const Vertex a = random_on_side(bisection, n, 0, rng);
         const Vertex b = random_on_side(bisection, n, 1, rng);
-        const double delta = swap_delta(bisection, a, b);
+        delta = swap_delta(g, gains, a, b);
         accept = delta <= 0.0 ||
                  rng.real01() < std::exp(-delta / schedule.temperature());
-        if (accept) bisection.swap(a, b);
+        if (accept) {
+          tracked_move(bisection, gains, a);
+          tracked_move(bisection, gains, b);
+        }
       } else {
         const auto v = static_cast<Vertex>(rng.below(n));
-        const double delta =
-            flip_delta(bisection, v, options.imbalance_alpha);
+        delta = flip_delta(bisection, gains, v, options.imbalance_alpha);
         accept = delta <= 0.0 ||
                  rng.real01() < std::exp(-delta / schedule.temperature());
-        if (accept) bisection.move(v);
+        if (accept) tracked_move(bisection, gains, v);
       }
       if (accept) {
         ++accepted;
+        if (delta != 0.0) ++changed;
         if (bisection.is_balanced() && bisection.cut() < best_cut) {
           best_cut = bisection.cut();
           best_sides.assign(bisection.sides().begin(),
@@ -201,7 +218,13 @@ SaStats sa_refine(Bisection& bisection, Rng& rng, const SaOptions& options,
                             : bisection.cut(),
                         schedule.temperature());
     }
-    if (acceptance < options.min_acceptance && !best_improved) {
+    // Only moves that change the cost hold off the freeze. A sideways
+    // move (delta == 0) is accepted at any temperature, and at odd |V|
+    // every zero-gain flip between d = +1 and d = -1 is one: counted,
+    // they would keep the walk cooling to kMinTemperature.
+    const double changing =
+        static_cast<double>(changed) / static_cast<double>(moves_per_temp);
+    if (changing < options.min_acceptance && !best_improved) {
       ++frozen_streak;
     } else {
       frozen_streak = 0;

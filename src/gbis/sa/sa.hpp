@@ -51,8 +51,10 @@ struct SaOptions {
   double init_acceptance_target = 0.4;
   /// Explicit initial temperature; 0 means calibrate from sampling.
   double initial_temperature = 0.0;
-  /// A temperature counts as "frozen" when its acceptance ratio falls
-  /// below this and the best solution did not improve.
+  /// A temperature counts as "frozen" when the share of its moves that
+  /// were accepted and changed the cost (delta != 0) falls below this
+  /// and the best solution did not improve. Sideways moves are still
+  /// made; they just do not hold off the freeze.
   double min_acceptance = 0.02;
   /// Stop after this many consecutive frozen temperatures.
   std::uint32_t frozen_temperatures = 5;

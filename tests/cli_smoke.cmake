@@ -80,6 +80,41 @@ if(NOT torn_table STREQUAL campaign_table)
     "${torn_table}\nexpected:\n${campaign_table}")
 endif()
 
+# A journal append that fails (here a file-size limit; a full disk
+# behaves alike) fails the campaign with exit 3 naming the journal, not
+# a clean exit over a short journal. Resuming that journal without the
+# limit reruns what it lacks and prints the uninterrupted run's table.
+set(limit_args campaign kl,greedy_hc --starts 50 ${WORK_DIR}/g.graph --seed 7)
+execute_process(COMMAND ${GBIS_CLI} ${limit_args}
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE limit_full ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "campaign failed (${code}): ${limit_full} ${err}")
+endif()
+file(REMOVE ${WORK_DIR}/limit.jsonl)
+string(REPLACE ";" " " limit_cmd "${limit_args}")
+execute_process(COMMAND sh -c "trap '' XFSZ; ulimit -f 2; exec ${GBIS_CLI} ${limit_cmd} --journal ${WORK_DIR}/limit.jsonl"
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 3 OR NOT err MATCHES "checkpoint: .*limit\\.jsonl")
+  message(FATAL_ERROR "size-limited journal exited ${code}, expected 3 "
+    "naming limit.jsonl: ${out} ${err}")
+endif()
+execute_process(COMMAND ${GBIS_CLI} ${limit_args}
+    --resume ${WORK_DIR}/limit.jsonl
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0 OR NOT out MATCHES "resumed")
+  message(FATAL_ERROR "size-limited journal resume failed (${code}): "
+    "${out} ${err}")
+endif()
+string(REGEX REPLACE "trials:[^\n]*" "" limit_table "${out}")
+string(REGEX REPLACE "trials:[^\n]*" "" limit_full "${limit_full}")
+if(NOT limit_table STREQUAL limit_full)
+  message(FATAL_ERROR "size-limited journal resume changed the cut table:\n"
+    "${limit_table}\nexpected:\n${limit_full}")
+endif()
+
 # Failure injection: bad inputs must exit with the documented codes,
 # not crash. Missing file -> 3 (I/O), bad command line -> 2 (usage).
 execute_process(COMMAND ${GBIS_CLI} solve /nonexistent.graph kl

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +213,36 @@ TEST(ParallelRunner, RejectsBadTrialSpecs) {
   zero.starts = 0;
   EXPECT_THROW(run_trial_matrix(graphs, methods, zero, 1),
                std::invalid_argument);
+}
+
+TEST(ParallelRunner, CompletionHookErrorIsRethrown) {
+  // A hook that throws (a checkpoint append on a full disk) must fail
+  // the batch at the caller instead of vanishing into the pool's error
+  // slot. The other trials still run and reach the hook, and the error
+  // reported is the first in trial-id order at any thread count.
+  Rng gen(3);
+  const Graph g = make_gnp(40, 0.1, gen);
+  const Graph graphs[] = {g};
+  const Method methods[] = {Method::kKl};
+  const std::vector<TrialSpec> trials = enumerate_trial_matrix(1, methods, 12);
+  for (const unsigned threads : {1u, 8u}) {
+    int calls = 0;  // the runner serializes hook calls
+    TrialRunOptions options;
+    options.on_complete = [&](std::uint64_t id, const TrialResult&) {
+      ++calls;
+      if (id == 5 || id == 9) {
+        throw std::runtime_error("hook failed at " + std::to_string(id));
+      }
+    };
+    try {
+      run_trials_ex(graphs, trials, fast_config(12, threads), 1, threads,
+                    options);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "hook failed at 5") << threads;
+    }
+    EXPECT_EQ(calls, 12) << threads;
+  }
 }
 
 }  // namespace

@@ -37,6 +37,10 @@ std::vector<Method> registered_methods() {
 
 enum class Family { kGnp, kPlanted, kRegular, kGrid, kLadder, kTree };
 
+// About n vertices of `family`. The planted and regular models split
+// their vertices into two equal halves, so they round n down to even,
+// and a ladder always has 2 * rungs vertices. At n = 81 the odd graphs
+// are Gnp, the 9 x 9 grid and the tree; at n = 80 only the grid is odd.
 Graph make_family(Family family, std::uint32_t n, Rng& rng) {
   switch (family) {
     case Family::kGnp:
@@ -66,11 +70,10 @@ using MethodFamilyParam = std::tuple<Method, Family>;
 class MethodFamilyProperty
     : public testing::TestWithParam<MethodFamilyParam> {};
 
-TEST_P(MethodFamilyProperty, ProducesLegalBisection) {
-  const auto [method, family] = GetParam();
+void expect_legal_bisection(Method method, Family family, std::uint32_t n) {
   Rng rng(static_cast<std::uint64_t>(static_cast<int>(method)) * 97 +
           static_cast<std::uint64_t>(static_cast<int>(family)) * 13 + 1);
-  const Graph g = make_family(family, 80, rng);
+  const Graph g = make_family(family, n, rng);
   RunConfig config;
   config.starts = 1;
   config.sa.temperature_length_factor = 2.0;
@@ -87,6 +90,18 @@ TEST_P(MethodFamilyProperty, ProducesLegalBisection) {
   EXPECT_EQ(recount.cut(), result.best_cut);
 }
 
+// Each (method, family) cell runs at an even and an odd size, so every
+// registered method meets odd |V| on three families.
+TEST_P(MethodFamilyProperty, ProducesLegalBisection) {
+  const auto [method, family] = GetParam();
+  expect_legal_bisection(method, family, 80);
+}
+
+TEST_P(MethodFamilyProperty, ProducesLegalBisectionAtOddSize) {
+  const auto [method, family] = GetParam();
+  expect_legal_bisection(method, family, 81);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MethodFamilyProperty,
     testing::Combine(testing::ValuesIn(registered_methods()),
@@ -98,10 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 class NeverBelowOptimum : public testing::TestWithParam<std::uint32_t> {};
 
-TEST_P(NeverBelowOptimum, OnSmallRandomGraphs) {
-  const std::uint32_t seed = GetParam();
+void expect_never_below_optimum(std::uint32_t seed, std::uint32_t n) {
   Rng rng(seed);
-  const Graph g = make_gnp(14, 0.35, rng);
+  const Graph g = make_gnp(n, 0.35, rng);
   const Weight optimal = brute_force_bisection(g).cut;
   RunConfig config;
   config.starts = 2;
@@ -110,6 +124,14 @@ TEST_P(NeverBelowOptimum, OnSmallRandomGraphs) {
     const RunResult result = run_method(g, m, rng, config);
     EXPECT_GE(result.best_cut, optimal) << method_name(m);
   }
+}
+
+TEST_P(NeverBelowOptimum, OnSmallRandomGraphs) {
+  expect_never_below_optimum(GetParam(), 14);
+}
+
+TEST_P(NeverBelowOptimum, OnSmallOddRandomGraphs) {
+  expect_never_below_optimum(GetParam(), 13);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NeverBelowOptimum,

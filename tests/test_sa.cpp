@@ -1,6 +1,7 @@
 // Tests for the simulated annealing bisector and its schedule.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -11,6 +12,7 @@
 #include "gbis/exact/brute.hpp"
 #include "gbis/gen/gnp.hpp"
 #include "gbis/gen/planted.hpp"
+#include "gbis/gen/regular_planted.hpp"
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/partition/bisection.hpp"
@@ -196,6 +198,124 @@ TEST(Sa, AcceptanceDecreasesAsItFreezes) {
   const SaStats stats = sa_refine(b, rng, fast_sa());
   EXPECT_LT(stats.moves_accepted, stats.moves_proposed);
   EXPECT_LT(stats.final_temperature, stats.initial_temperature);
+}
+
+// --- Parity: odd |V| freezes like even |V| -------------------------------
+
+std::uint32_t summed_temperatures(std::uint32_t n) {
+  Rng graph_rng(5);
+  const Graph g = make_gnp(n, 5.0 / n, graph_rng);
+  std::uint32_t total = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    Bisection b = Bisection::random(g, rng);
+    total += sa_refine(b, rng).temperatures;
+  }
+  return total;
+}
+
+TEST(Sa, OddTwinFreezesLikeItsEvenTwin) {
+  // At odd |V| a zero-gain flip between the balanced states d = +1 and
+  // d = -1 costs nothing, so it is accepted at any temperature. Those
+  // sideways moves must not hold off the freeze: the odd twin stops
+  // about where the even one does instead of cooling to the floor
+  // (at most 1.25x its temperatures over four seeds).
+  const std::uint32_t even = summed_temperatures(400);
+  const std::uint32_t odd = summed_temperatures(401);
+  EXPECT_LE(odd * 4, even * 5) << "odd " << odd << " even " << even;
+}
+
+// --- Even-|V| walks are pinned --------------------------------------------
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+Graph pinned_graph(int which) {
+  Rng rng(200);
+  switch (which) {
+    case 0: return make_gnp(200, 5.0 / 200, rng);
+    case 1: return make_grid(10, 20);
+    case 2: return make_ladder(100);
+    case 3: return make_binary_tree(200);
+    default: return make_regular_planted({200, 8, 3}, rng);
+  }
+}
+
+struct PinnedWalk {
+  std::uint32_t temperatures;
+  std::uint64_t moves_proposed;
+  std::uint64_t moves_accepted;
+  Weight cut;
+  std::uint64_t sides_fnv1a;
+};
+
+TEST(Sa, EvenWalksArePinned) {
+  // Every even-|V| walk below is fixed, proposal for proposal: a kernel
+  // change that moves any of them (a gain read, a draw, the freeze
+  // test) fails here. Rows: {Gnp, grid, ladder, tree, Gbreg} x seed
+  // {1, 2} x {kFlip, kSwap}, default SaOptions. Sideways moves occur at
+  // even |V| too (a swap of zero pair gain; a flip between imbalances 4
+  // and 6 whose gain pays the penalty), so the freeze test shapes some
+  // of these walks as well.
+  const PinnedWalk pinned[] = {
+      // Gnp(200, 5/200)
+      {52, 166400, 24108, 85, 0xaacfba9fa5622e53ull},
+      {36, 115200, 28572, 90, 0xcfcc9979539d8e3dull},
+      {52, 166400, 29652, 85, 0xd30cad10c6653e31ull},
+      {46, 147200, 37985, 92, 0x791eb136a080b237ull},
+      // grid 10 x 20
+      {28, 89600, 13904, 10, 0xe0d3c0d8fb7653b9ull},
+      {44, 140800, 30803, 10, 0x5733949d48d0bc19ull},
+      {25, 80000, 8822, 10, 0x5733949d48d0bc19ull},
+      {37, 118400, 20444, 10, 0xe0d3c0d8fb7653b9ull},
+      // ladder of 100 rungs
+      {37, 118400, 27940, 6, 0x6bd222c59b8c4cb9ull},
+      {44, 140800, 32377, 14, 0x72900b7c6df089c9ull},
+      {35, 112000, 26810, 8, 0x9b3f3d81ecfda429ull},
+      {41, 131200, 33321, 12, 0x71e0045bd40e9f69ull},
+      // binary tree on 200 vertices
+      {46, 147200, 32297, 6, 0x4f403d5fbcc74a1full},
+      {51, 163200, 49581, 7, 0x2066ab09b012e27bull},
+      {47, 150400, 35758, 7, 0x873a9cfaa69e3fd3ull},
+      {49, 156800, 45945, 6, 0xf66d3b827a30d585ull},
+      // Gbreg(200, 8, 3)
+      {38, 121600, 26546, 8, 0xcaf0056e187a8c09ull},
+      {45, 144000, 39890, 8, 0x6d1750082bcc83c9ull},
+      {35, 112000, 26373, 8, 0x38ef57a0f1214269ull},
+      {36, 115200, 39215, 16, 0x0f17fb5c50b24eb5ull},
+  };
+  std::size_t row = 0;
+  for (int which = 0; which < 5; ++which) {
+    const Graph g = pinned_graph(which);
+    ASSERT_EQ(g.num_vertices() % 2, 0u);
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      for (const SaNeighborhood neighborhood :
+           {SaNeighborhood::kFlip, SaNeighborhood::kSwap}) {
+        Rng rng(seed);
+        Bisection b = Bisection::random(g, rng);
+        SaOptions options;
+        options.neighborhood = neighborhood;
+        const SaStats stats = sa_refine(b, rng, options);
+        const PinnedWalk& want = pinned[row++];
+        SCOPED_TRACE(testing::Message() << "graph " << which << " seed "
+                                        << seed << " swap "
+                                        << (neighborhood ==
+                                            SaNeighborhood::kSwap));
+        EXPECT_EQ(stats.temperatures, want.temperatures);
+        EXPECT_EQ(stats.moves_proposed, want.moves_proposed);
+        EXPECT_EQ(stats.moves_accepted, want.moves_accepted);
+        EXPECT_EQ(b.cut(), want.cut);
+        EXPECT_EQ(fnv1a(b.sides()), want.sides_fnv1a);
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(pinned));
 }
 
 class SaProperty : public testing::TestWithParam<std::uint32_t> {};

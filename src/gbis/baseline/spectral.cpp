@@ -18,11 +18,8 @@ Bisection spectral_bisection(const Graph& g, Rng& rng,
 
   // Shift: c >= lambda_max(L); 2 * max weighted degree suffices
   // (Gershgorin: lambda_max <= 2 * max_wdeg).
-  Weight max_wdeg = 1;
-  for (Vertex v = 0; v < n; ++v) {
-    max_wdeg = std::max(max_wdeg, g.weighted_degree(v));
-  }
-  const double shift = 2.0 * static_cast<double>(max_wdeg);
+  const double shift =
+      2.0 * static_cast<double>(std::max(Weight{1}, g.max_weighted_degree()));
 
   std::vector<double> x(n), y(n);
   for (double& coord : x) coord = rng.real01() - 0.5;

@@ -19,13 +19,7 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
   const std::uint32_t n = g.num_vertices();
   if (n < 2) return 0;
 
-  Weight max_gain = 1;
-  for (Vertex v = 0; v < n; ++v) {
-    max_gain = std::max(max_gain, g.weighted_degree(v));
-  }
-
-  GainBuckets buckets[2] = {GainBuckets(n, max_gain),
-                            GainBuckets(n, max_gain)};
+  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
   std::vector<Weight> gains = all_gains(bisection);
   std::vector<std::uint8_t> sides(bisection.sides().begin(),
                                   bisection.sides().end());

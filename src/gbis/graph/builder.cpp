@@ -1,10 +1,23 @@
 #include "gbis/graph/builder.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 #include <utility>
 
 namespace gbis {
+
+namespace {
+
+/// total += w, or throws when that would pass kMaxTotalWeight.
+void add_within_limit(Weight& total, Weight w, const char* what) {
+  if (w > kMaxTotalWeight - total) {
+    throw std::invalid_argument(std::string("total ") + what +
+                                " weight exceeds the 2^60 limit");
+  }
+  total += w;
+}
+
+}  // namespace
 
 GraphBuilder::GraphBuilder(std::uint32_t num_vertices, SelfLoops self_loops)
     : vertex_weights_(num_vertices, 1), self_loops_(self_loops) {}
@@ -41,6 +54,18 @@ void GraphBuilder::set_vertex_weight(Vertex v, Weight weight) {
 Graph GraphBuilder::build() {
   const std::uint32_t n = num_vertices();
 
+  // The weight limit, checked before any sum that could overflow is
+  // formed. Weights are positive, so a merged parallel edge and every
+  // weighted degree stay within the edge total.
+  Weight total_edge_weight = 0;
+  for (const Edge& e : staged_) {
+    add_within_limit(total_edge_weight, e.weight, "edge");
+  }
+  Weight total_vertex_weight = 0;
+  for (const Weight w : vertex_weights_) {
+    add_within_limit(total_vertex_weight, w, "vertex");
+  }
+
   std::sort(staged_.begin(), staged_.end(),
             [](const Edge& a, const Edge& b) {
               return a.u != b.u ? a.u < b.u : a.v < b.v;
@@ -59,9 +84,8 @@ Graph GraphBuilder::build() {
 
   Graph g;
   g.vertex_weights_ = std::move(vertex_weights_);
-  g.total_vertex_weight_ =
-      std::accumulate(g.vertex_weights_.begin(), g.vertex_weights_.end(),
-                      Weight{0});
+  g.total_vertex_weight_ = total_vertex_weight;
+  g.total_edge_weight_ = total_edge_weight;
 
   std::vector<std::uint32_t> deg(n, 0);
   for (const Edge& e : staged_) {
@@ -74,7 +98,6 @@ Graph GraphBuilder::build() {
   g.edge_weights_.resize(staged_.size() * 2);
 
   std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  g.total_edge_weight_ = 0;
   // staged_ is sorted by (u, v) with u < v, so emitting u->v in order
   // keeps each u's list sorted; v->u entries also land sorted because u
   // increases monotonically across the scan.
@@ -85,7 +108,10 @@ Graph GraphBuilder::build() {
     g.neighbors_[cursor[e.v]] = e.u;
     g.edge_weights_[cursor[e.v]] = e.weight;
     ++cursor[e.v];
-    g.total_edge_weight_ += e.weight;
+  }
+  for (Vertex v = 0; v < n; ++v) {
+    g.max_weighted_degree_ =
+        std::max(g.max_weighted_degree_, g.weighted_degree(v));
   }
   staged_.clear();
   vertex_weights_.assign(n, 1);

@@ -40,7 +40,10 @@ class GraphBuilder {
   /// Sets the weight of a vertex (must be positive).
   void set_vertex_weight(Vertex v, Weight weight);
 
-  /// Builds the immutable graph. The builder is left empty.
+  /// Builds the immutable graph. The builder is left empty. Throws
+  /// std::invalid_argument ("total edge weight exceeds the 2^60
+  /// limit", or the same for vertex weight) when the graph would break
+  /// the kMaxTotalWeight limit; the builder is then left as it was.
   Graph build();
 
  private:

@@ -41,9 +41,12 @@ bool Graph::validate() const {
     if (w <= 0) return false;
     vw_sum += w;
   }
-  if (vw_sum != total_vertex_weight_) return false;
+  if (vw_sum != total_vertex_weight_ || vw_sum > kMaxTotalWeight) {
+    return false;
+  }
 
   Weight ew_sum = 0;
+  Weight max_wdeg = 0;
   for (Vertex u = 0; u < n; ++u) {
     if (offsets_[u] > offsets_[u + 1]) return false;
     const auto nbrs = neighbors(u);
@@ -56,8 +59,10 @@ bool Graph::validate() const {
       if (edge_weight(v, u) != wts[i]) return false;         // symmetric
       if (u < v) ew_sum += wts[i];
     }
+    max_wdeg = std::max(max_wdeg, weighted_degree(u));
   }
-  return ew_sum == total_edge_weight_;
+  return ew_sum == total_edge_weight_ && ew_sum <= kMaxTotalWeight &&
+         max_wdeg == max_weighted_degree_;
 }
 
 }  // namespace gbis

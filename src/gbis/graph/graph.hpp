@@ -23,6 +23,13 @@ using Vertex = std::uint32_t;
 /// naturally negative-capable) needs no casts.
 using Weight = std::int64_t;
 
+/// The most edge weight, and the most vertex weight, one Graph may hold
+/// in total: 2^60. GraphBuilder::build rejects a graph over it. The
+/// solvers rely on what follows from it: every weighted degree, cut,
+/// gain and prefix sum of gains lies within +-2^60, and a KL pair gain
+/// g_a + g_b - 2w(a, b) within +-2^62, so none of them overflows Weight.
+inline constexpr Weight kMaxTotalWeight = Weight{1} << 60;
+
 /// An undirected edge with a weight, reported with u < v.
 struct Edge {
   Vertex u = 0;
@@ -38,7 +45,8 @@ struct Edge {
 ///  - adjacency lists are sorted by neighbor id, with no self-loops and
 ///    no duplicate neighbors (parallel edges are merged at build time);
 ///  - adjacency is symmetric with equal weights in both directions;
-///  - all edge and vertex weights are positive.
+///  - all edge and vertex weights are positive, and each of their
+///    totals is at most kMaxTotalWeight.
 class Graph {
  public:
   /// Empty graph with no vertices.
@@ -83,6 +91,9 @@ class Graph {
     return sum;
   }
 
+  /// Largest weighted degree over all vertices; 0 without edges.
+  Weight max_weighted_degree() const { return max_weighted_degree_; }
+
   /// Average (unweighted) degree: 2|E| / |V|. Zero for the empty graph.
   double average_degree() const {
     return num_vertices() == 0
@@ -112,6 +123,7 @@ class Graph {
   std::vector<Weight> vertex_weights_;     // size |V|
   Weight total_vertex_weight_ = 0;
   Weight total_edge_weight_ = 0;
+  Weight max_weighted_degree_ = 0;
 };
 
 }  // namespace gbis

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 #include "gbis/graph/builder.hpp"
@@ -191,7 +192,11 @@ Graph read_edge_list(std::string_view text) {
     throw IoError("edge_list: header declared " + std::to_string(m) +
                   " edges, found " + std::to_string(edges_read));
   }
-  return builder.build();
+  try {
+    return builder.build();
+  } catch (const std::invalid_argument& e) {  // the weight limit
+    throw IoError(std::string("edge_list: ") + e.what());
+  }
 }
 
 Graph read_edge_list(std::istream& in) {

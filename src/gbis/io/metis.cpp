@@ -138,7 +138,12 @@ Graph read_metis(std::istream& in) {
                   " edges, adjacency lists contain " +
                   std::to_string(half_edges) + " entries");
   }
-  Graph g = builder.build();
+  Graph g;
+  try {
+    g = builder.build();
+  } catch (const std::invalid_argument& e) {  // the weight limit
+    throw IoError(std::string("metis: ") + e.what());
+  }
   if (g.num_edges() != m) {
     throw IoError("metis: duplicate adjacency entries");
   }

@@ -26,15 +26,15 @@ bool select_best_pair(const Graph& g, const GainBuckets& side0,
 
   bool found = false;
   best_gab = 0;
-  for (Weight ga = top0; ga >= -side0.max_gain(); --ga) {
+  for (Weight ga = top0; ga != GainBuckets::kEmpty;
+       ga = side0.next_below(ga)) {
     // Upper bound for any pair using this or a lower side-0 bucket.
     if (found && ga + top1 <= best_gab) break;
-    std::int64_t a_it = side0.bucket_head(ga);
-    if (a_it == GainBuckets::kNil) continue;
-    for (; a_it != GainBuckets::kNil;
+    for (std::int64_t a_it = side0.bucket_head(ga); a_it != GainBuckets::kNil;
          a_it = side0.bucket_next(static_cast<Vertex>(a_it))) {
       const auto a = static_cast<Vertex>(a_it);
-      for (Weight gb = top1; gb >= -side1.max_gain(); --gb) {
+      for (Weight gb = top1; gb != GainBuckets::kEmpty;
+           gb = side1.next_below(gb)) {
         if (found && ga + gb <= best_gab) break;
         std::int64_t b_it = side1.bucket_head(gb);
         for (; b_it != GainBuckets::kNil;
@@ -77,7 +77,8 @@ bool select_greedy_tops(const Graph& g, const GainBuckets& side0,
   const auto a = static_cast<Vertex>(side0.bucket_head(top0));
   bool found = false;
   Weight best_partner = 0;
-  for (Weight gb = top1; gb >= -side1.max_gain(); --gb) {
+  for (Weight gb = top1; gb != GainBuckets::kEmpty;
+       gb = side1.next_below(gb)) {
     if (found && gb <= best_partner) break;
     for (std::int64_t it = side1.bucket_head(gb); it != GainBuckets::kNil;
          it = side1.bucket_next(static_cast<Vertex>(it))) {
@@ -106,14 +107,7 @@ Weight kl_pass(Bisection& bisection, KlStats* stats,
   const std::uint32_t n = g.num_vertices();
   if (n < 2) return 0;
 
-  // Max |gain| is bounded by the largest weighted degree.
-  Weight max_gain = 1;
-  for (Vertex v = 0; v < n; ++v) {
-    max_gain = std::max(max_gain, g.weighted_degree(v));
-  }
-
-  GainBuckets buckets[2] = {GainBuckets(n, max_gain),
-                            GainBuckets(n, max_gain)};
+  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
   std::vector<Weight> gains = all_gains(bisection);
   std::vector<std::uint8_t> sides(bisection.sides().begin(),
                                   bisection.sides().end());

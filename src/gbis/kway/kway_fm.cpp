@@ -99,10 +99,6 @@ KwayPartition kway_fm_refine(const KwayPartition& input, Rng& rng,
     return result;
   }
 
-  Weight max_gain = 1;
-  for (Vertex v = 0; v < n; ++v) {
-    max_gain = std::max(max_gain, g.weighted_degree(v));
-  }
   const std::uint32_t slack = options.size_tolerance;
   const std::uint32_t lo_accept = n / k > slack ? n / k - slack : 0;
   const std::uint32_t hi_accept = (n + k - 1) / k + slack;
@@ -116,7 +112,7 @@ KwayPartition kway_fm_refine(const KwayPartition& input, Rng& rng,
 
   for (;;) {
     ++passes;
-    GainBuckets queue(n, max_gain);
+    GainBuckets queue(g);
     PassState state;
     state.g = &g;
     state.k = k;

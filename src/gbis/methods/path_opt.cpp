@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "gbis/obs/metrics.hpp"
+#include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
 
 namespace gbis {
@@ -14,28 +15,31 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   const Weight cut_before = bisection.cut();
 
   // Virtual flip state: `sides` and `gains` track the partition as if
-  // the sequence's flips had been applied. Unlocked vertices never
-  // flip before they are picked, so an unlocked vertex's virtual side
-  // is its real side and the `required` test below reads `sides`
-  // directly.
+  // the sequence's flips had been applied. An unpicked vertex never
+  // flips before it is picked, so its virtual side is its real side and
+  // it waits in that side's buckets; picking removes it, which is what
+  // locks it for the rest of the pass.
   std::vector<std::uint8_t> sides(bisection.sides().begin(),
                                   bisection.sides().end());
   std::vector<Weight> gains = all_gains(bisection);
-  std::vector<std::uint8_t> locked(n, 0);
+  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
 
-  // Walk stamps: every flip restamps its neighbors with a fresh clock
-  // tick (one tick per neighbor, so later updates always outrank
-  // earlier ones). Gain ties then prefer the highest stamp — the
-  // vertex the sequence touched most recently, which is a neighbor of
-  // the last flip whenever one is eligible. This is Berry & Goldberg's
-  // near-greedy walk as a *bias* instead of a restriction: the
-  // sequence follows edges while the walk stays gain-optimal and
+  // Tie order is the buckets' LIFO order. Inserting in descending id
+  // order leaves the lowest id at the head of each bucket. Every flip
+  // then changes each unpicked neighbor's gain by +-2w (edge weights
+  // are positive), so the neighbors move to the heads of their new
+  // buckets in adjacency order, ahead of every vertex touched earlier
+  // or never. Gain ties therefore go to the vertex the sequence touched
+  // most recently, then to the lowest id. That recency bias is Berry &
+  // Goldberg's near-greedy walk as a *bias* instead of a restriction:
+  // the sequence follows edges while the walk stays gain-optimal and
   // teleports to the global best otherwise. (It is also exactly the
-  // locality KL inherits from its LIFO gain buckets; with first-scan
-  // ties instead, the planted and ladder classes stall 2-3x above
-  // KL's local optima.)
-  std::vector<std::uint64_t> stamp(n, 0);
-  std::uint64_t clock = 0;
+  // locality KL inherits from the same buckets; with first-scan ties
+  // instead, the planted and ladder classes stall 2-3x above KL's local
+  // optima.)
+  for (Vertex v = static_cast<Vertex>(n); v-- > 0;) {
+    buckets[sides[v]].insert(v, gains[v]);
+  }
 
   std::vector<Vertex> path;
   path.reserve(n);
@@ -44,7 +48,7 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   std::uint64_t polls = 0;
 
   // Grow one flip sequence in balance pairs — side 0 first, side 1
-  // second, like a KL pair — until either side runs out of unlocked
+  // second, like a KL pair — until either side runs out of unpicked
   // vertices. Flipping any even prefix moves equal counts each way,
   // so every even prefix is a balance-preserving candidate.
   for (;;) {
@@ -52,27 +56,19 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
       options.deadline.check();
       ++polls;
     }
-    const std::uint8_t required = (path.size() & 1u) != 0 ? 1 : 0;
-    // Selection: max gain over eligible vertices; ties prefer the
-    // most recent stamp, then the lowest id (first scanned).
-    bool found = false;
-    Vertex pick = 0;
-    for (Vertex v = 0; v < n; ++v) {
-      if (locked[v] != 0 || sides[v] != required) continue;
-      if (!found || gains[v] > gains[pick] ||
-          (gains[v] == gains[pick] && stamp[v] > stamp[pick])) {
-        found = true;
-        pick = v;
-      }
-    }
-    if (!found) break;  // one side exhausted; the tail can't pair up
+    GainBuckets& required = buckets[path.size() & 1u];
+    const Weight top = required.max_gain_present();
+    if (top == GainBuckets::kEmpty) break;  // the tail can't pair up
+    const auto pick = static_cast<Vertex>(required.bucket_head(top));
+    required.remove(pick);
 
     path.push_back(pick);
-    locked[pick] = 1;
     cumulative += gains[pick];
-    for (const Vertex u : g.neighbors(pick)) stamp[u] = ++clock;
     update_gains_after_move(g, sides, pick, gains);
     sides[pick] ^= 1;
+    for (const Vertex u : g.neighbors(pick)) {
+      if (buckets[sides[u]].contains(u)) buckets[sides[u]].update(u, gains[u]);
+    }
 
     // Best even prefix; on ties keep the longest (a zero-gain plateau
     // still shifts the cut, which later passes exploit — but only once

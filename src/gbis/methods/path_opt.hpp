@@ -6,27 +6,30 @@
 // alternation, so that flipping any even-length prefix preserves the
 // balance exactly (each side contributes half the flips). One pass
 // grows the sequence greedily — each step flips the max-gain unlocked
-// vertex of the required side, with gain ties broken toward the vertex
-// whose gain was touched most recently. That recency bias is the
-// near-greedy walk of the paper: while a neighbor of the last flip
-// stays gain-optimal the sequence follows edges, and when the walk
-// dies it teleports to the global best (an adjacency *bias*, not a
-// restriction; it is also the move locality KL inherits from its LIFO
-// gain buckets, without which the planted/ladder classes stall far
-// above KL's local optima). The pass then applies the even prefix with
-// the best cumulative gain, preferring the longest on ties — the KL
-// best-prefix rule transplanted from the pair sequence to the flip
+// vertex of the required side, taken from that side's LIFO gain
+// buckets (partition/buckets.hpp), so gain ties go to the vertex whose
+// gain was touched most recently. That recency bias is the near-greedy
+// walk of the paper: while a neighbor of the last flip stays
+// gain-optimal the sequence follows edges, and when the walk dies it
+// teleports to the global best (an adjacency *bias*, not a
+// restriction; it is also the move locality KL gets from the same
+// buckets, without which the planted/ladder classes stall far above
+// KL's local optima). A flip costs O(deg) bucket updates, so a pass is
+// O(|E|) plus the bucket scans. The pass then applies the even prefix
+// with the best cumulative gain, preferring the longest on ties — the
+// KL best-prefix rule transplanted from the pair sequence to the flip
 // walk. Every flipped vertex is locked for the rest of the pass, so a
 // pass proposes at most |V| flips and termination is unconditional.
 // Passes repeat until one yields no improvement (or a configured cap),
 // exactly like kl_refine.
 //
-// Tie-breaking is deterministic everywhere (max gain, then freshest
-// stamp, then lowest vertex id) and the refiner consumes no
-// randomness, so a path-opt trial is a pure function of
-// (graph, starting bisection) — the same contract the KL/SA/FM
-// refiners honor, which is what lets the method join the service
-// portfolio without touching the byte-identity replay guarantees.
+// Tie-breaking is deterministic everywhere (max gain, then LIFO bucket
+// order: the most recently touched vertex, then the lowest vertex id)
+// and the refiner consumes no randomness, so a path-opt trial is a pure
+// function of (graph, starting bisection) — the same contract the
+// KL/SA/FM refiners honor, which is what lets the method join the
+// service portfolio without touching the byte-identity replay
+// guarantees.
 #pragma once
 
 #include <cstdint>

@@ -29,6 +29,36 @@ foreach(artifact g.part g4.part g.metis g.dot)
   endif()
 endforeach()
 
+# Gain buckets hold O(|V|) memory whatever the edge weights: a 4-cycle
+# with one edge of weight 1e7 solves inside a 128 MiB address space
+# with every bucket-based method. (A sanitizer build's shadow memory
+# cannot fit that limit, so those builds skip it.)
+file(WRITE ${WORK_DIR}/heavy.graph "4 4\n0 1 10000000\n1 2\n2 3\n3 0\n")
+if(NOT SANITIZE)
+  foreach(method kl fm ckl mlkl path)
+    execute_process(COMMAND sh -c "ulimit -v 131072; exec ${GBIS_CLI} --threads 1 solve ${WORK_DIR}/heavy.graph ${method}"
+      WORKING_DIRECTORY ${WORK_DIR}
+      RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT code EQUAL 0 OR NOT out MATCHES "^cut 2 ")
+      message(FATAL_ERROR "heavy-weight ${method} in 128 MiB exited ${code}: "
+        "${out} ${err}")
+    endif()
+  endforeach()
+endif()
+# The total edge weight is limited to 2^60, so a weight saturated to
+# INT64_MAX is a format error (exit 3), never a solve.
+file(WRITE ${WORK_DIR}/saturated.graph
+  "4 4\n0 1 99999999999999999999\n1 2\n2 3\n3 0\n")
+execute_process(COMMAND ${GBIS_CLI} --threads 1 solve
+    ${WORK_DIR}/saturated.graph kl
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 3 OR
+   NOT err MATCHES "edge_list: total edge weight exceeds the 2\\^60 limit")
+  message(FATAL_ERROR "saturated weight exited ${code}, expected 3 with "
+    "the weight-limit reason: ${out} ${err}")
+endif()
+
 # Campaign: run the trial matrix with a journal, then resume the same
 # journal — the second run must adopt every trial instead of rerunning.
 execute_process(COMMAND ${GBIS_CLI} campaign kl,ckl --starts 2

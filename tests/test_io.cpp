@@ -14,6 +14,7 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/io/edge_list.hpp"
+#include "gbis/io/io_error.hpp"
 #include "gbis/io/journal.hpp"
 #include "gbis/io/metis.hpp"
 
@@ -149,6 +150,27 @@ TEST(Metis, RejectsMissingAdjacencyLine) {
 TEST(Metis, RejectsCountMismatch) {
   std::stringstream ss("3 2\n2\n1\n\n");  // only 2 half-entries, need 4
   EXPECT_THROW(read_metis(ss), std::runtime_error);
+}
+
+TEST(Metis, RejectsTotalWeightsPastTheLimit) {
+  // Edge weight 2^60 on edge (1,2), plus 1 on (2,3): one past the limit.
+  std::stringstream edges(
+      "3 2 1\n2 1152921504606846976\n1 1152921504606846976 3 1\n2 1\n");
+  try {
+    read_metis(edges);
+    FAIL() << "expected the weight limit to reject the graph";
+  } catch (const IoError& e) {
+    EXPECT_STREQ(e.what(),
+                 "metis: total edge weight exceeds the 2^60 limit");
+  }
+  std::stringstream vertices("2 1 10\n1152921504606846976 2\n1 1\n");
+  try {
+    read_metis(vertices);
+    FAIL() << "expected the weight limit to reject the graph";
+  } catch (const IoError& e) {
+    EXPECT_STREQ(e.what(),
+                 "metis: total vertex weight exceeds the 2^60 limit");
+  }
 }
 
 TEST(Metis, RejectsOutOfRangeNeighbor) {

@@ -4,7 +4,6 @@
 // reader is also checked differentially against the istream reader it
 // replaced, kept here as the reference.
 #include <cstdio>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -117,52 +116,38 @@ Graph reference_read_edge_list(std::istream& in) {
     throw IoError("edge_list: header declared " + std::to_string(m) +
                   " edges, found " + std::to_string(edges_read));
   }
-  return builder.build();
+  try {
+    return builder.build();
+  } catch (const std::invalid_argument& e) {  // the weight limit
+    throw IoError(std::string("edge_list: ") + e.what());
+  }
 }
 
 /// Thrown (not a std::exception, so it escapes outcome()) for a case
 /// the differential test leaves out.
-struct SkipCase {
-  bool too_many_vertices = false;  ///< else: the weight sums overflow
-};
+struct SkipCase {};
 
-/// GraphBuilder that refuses the two inputs neither reader can be run
-/// on: a header vertex count large enough to allocate gigabytes, and
-/// weights whose int64 sums in GraphBuilder::build would overflow
-/// (undefined behaviour there, the same for both readers).
+/// GraphBuilder that refuses the one input neither reader can be run
+/// on: a header vertex count large enough to allocate gigabytes.
+/// Weights need no screen: GraphBuilder::build rejects totals past the
+/// 2^60 limit before it forms any sum that could overflow.
 class ScreeningBuilder {
  public:
   static constexpr std::uint32_t kMaxVertices = 1u << 16;
 
   explicit ScreeningBuilder(std::uint32_t n)
-      : builder_(n <= kMaxVertices ? n : throw SkipCase{true}),
-        vertex_weights_(n, 1) {}
+      : builder_(n <= kMaxVertices ? n : throw SkipCase{}) {}
 
-  void add_edge(Vertex u, Vertex v, Weight w) {
-    builder_.add_edge(u, v, w);
-    overflow_ = __builtin_add_overflow(edge_sum_, w, &edge_sum_) || overflow_;
-  }
+  void add_edge(Vertex u, Vertex v, Weight w) { builder_.add_edge(u, v, w); }
 
   void set_vertex_weight(Vertex v, Weight w) {
     builder_.set_vertex_weight(v, w);
-    vertex_weights_[v] = w;
   }
 
-  Graph build() {
-    Weight vertex_sum = 0;
-    for (const Weight w : vertex_weights_) {
-      overflow_ =
-          __builtin_add_overflow(vertex_sum, w, &vertex_sum) || overflow_;
-    }
-    if (overflow_) throw SkipCase{false};
-    return builder_.build();
-  }
+  Graph build() { return builder_.build(); }
 
  private:
   GraphBuilder builder_;
-  std::vector<Weight> vertex_weights_;
-  Weight edge_sum_ = 0;
-  bool overflow_ = false;
 };
 
 /// A graph as comparable text: vertex weights, edges and fingerprint.
@@ -296,11 +281,12 @@ TEST(EdgeListRules, NoDigitsStoresZeroAndFails) {
 }
 
 TEST(EdgeListRules, OverflowSaturatesAndFails) {
-  constexpr Weight kMax = std::numeric_limits<Weight>::max();
-  EXPECT_EQ(read_both("2 1\n0 1 99999999999999999999\n"),
-            graph_of(2, {{0, 1, kMax}}));
-  EXPECT_EQ(read_both("2 1\n0 1 9223372036854775807\n"),
-            graph_of(2, {{0, 1, kMax}}));
+  // A saturated weight reads as INT64_MAX, which the 2^60 total weight
+  // limit then rejects.
+  const std::string over_limit =
+      io_error("total edge weight exceeds the 2^60 limit");
+  EXPECT_EQ(read_both("2 1\n0 1 99999999999999999999\n"), over_limit);
+  EXPECT_EQ(read_both("2 1\n0 1 9223372036854775807\n"), over_limit);
   EXPECT_EQ(read_both("2 1\n0 1 -99999999999999999999\n"),
             io_error("line 2: edge weight -9223372036854775808 must be "
                      "positive"));
@@ -321,9 +307,10 @@ TEST(EdgeListRules, OverflowSaturatesAndFails) {
 
 TEST(EdgeListRules, AReadAfterAFailureFailsAndLeavesItsTargetAlone) {
   // The saturated weight fails its read, so the trailing-token read
-  // after it fails too instead of reporting "junk".
+  // after it fails too instead of reporting "junk"; the INT64_MAX it
+  // stored is then over the weight limit.
   EXPECT_EQ(read_both("2 1\n0 1 99999999999999999999 junk\n"),
-            graph_of(2, {{0, 1, std::numeric_limits<Weight>::max()}}));
+            io_error("total edge weight exceeds the 2^60 limit"));
   // A read past the end of the line keeps the default weight of 1.
   EXPECT_EQ(read_both("2 1\n0 1 \t\n"), graph_of(2, {{0, 1, 1}}));
   EXPECT_EQ(read_both("2 1\n0 1 3 junk\n"),
@@ -332,6 +319,23 @@ TEST(EdgeListRules, AReadAfterAFailureFailsAndLeavesItsTargetAlone) {
             io_error("line 2: trailing tokens on edge line"));
   EXPECT_EQ(read_both("2 1 x\n"),
             io_error("line 1: trailing tokens in header"));
+}
+
+TEST(EdgeListRules, TotalWeightsAreLimitedTo2To60) {
+  constexpr Weight kLimit = kMaxTotalWeight;
+  const std::string limit = std::to_string(kLimit);
+  const std::string over = std::to_string(kLimit + 1);
+  EXPECT_EQ(read_both("2 1\n0 1 " + limit + "\n"),
+            graph_of(2, {{0, 1, kLimit}}));
+  EXPECT_EQ(read_both("2 1\n0 1 " + over + "\n"),
+            io_error("total edge weight exceeds the 2^60 limit"));
+  // The limit is on the total, so two legal weights can cross it.
+  EXPECT_EQ(read_both("3 2\n0 1 " + limit + "\n1 2 1\n"),
+            io_error("total edge weight exceeds the 2^60 limit"));
+  EXPECT_EQ(read_both("2 0\nv 0 " + std::to_string(kLimit - 1) + "\n"),
+            graph_of(2, {}, {kLimit - 1, 1}));
+  EXPECT_EQ(read_both("2 0\nv 0 " + limit + "\n"),
+            io_error("total vertex weight exceeds the 2^60 limit"));
 }
 
 TEST(EdgeListRules, VertexWeightLinesIgnoreTrailingTokens) {
@@ -430,7 +434,7 @@ class EdgeListDifferential : public testing::TestWithParam<std::uint64_t> {};
 TEST_P(EdgeListDifferential, MatchesTheIstreamReader) {
   constexpr int kCases = 25000;
   Rng rng(GetParam());
-  int parsed = 0, errors = 0, too_many_vertices = 0, overflows = 0;
+  int parsed = 0, errors = 0, too_many_vertices = 0;
   for (int c = 0; c < kCases; ++c) {
     std::string text = valid_payload(rng);
     if (c % 16 != 0) mutate(rng, text);
@@ -440,8 +444,8 @@ TEST_P(EdgeListDifferential, MatchesTheIstreamReader) {
         std::istringstream in(text);
         return reference_read_edge_list<ScreeningBuilder>(in);
       });
-    } catch (const SkipCase& skip) {
-      ++(skip.too_many_vertices ? too_many_vertices : overflows);
+    } catch (const SkipCase&) {
+      ++too_many_vertices;
       continue;
     }
     const std::string actual =
@@ -453,11 +457,11 @@ TEST_P(EdgeListDifferential, MatchesTheIstreamReader) {
   // out only a sliver.
   EXPECT_GT(parsed, kCases / 10);
   EXPECT_GT(errors, kCases / 10);
-  EXPECT_LT(too_many_vertices + overflows, kCases / 50);
+  EXPECT_LT(too_many_vertices, kCases / 50);
   std::printf("edge-list differential seed %llu: %d parsed, %d errors, "
-              "%d skipped for size, %d for weight overflow\n",
+              "%d skipped for size\n",
               static_cast<unsigned long long>(GetParam()), parsed, errors,
-              too_many_vertices, overflows);
+              too_many_vertices);
 }
 
 // 4 x 25000 = 100k cases.

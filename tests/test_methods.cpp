@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,14 +18,18 @@
 #include "gbis/gen/planted.hpp"
 #include "gbis/gen/regular_planted.hpp"
 #include "gbis/gen/special.hpp"
+#include "gbis/graph/builder.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/kl/kl.hpp"
 #include "gbis/methods/greedy.hpp"
 #include "gbis/methods/path_opt.hpp"
 #include "gbis/methods/registry.hpp"
 #include "gbis/partition/bisection.hpp"
+#include "gbis/partition/buckets.hpp"
+#include "gbis/partition/gains.hpp"
 #include "gbis/rng/rng.hpp"
 #include "gbis/util/deadline.hpp"
+#include "test_families.hpp"
 
 namespace gbis {
 namespace {
@@ -108,6 +113,54 @@ TEST(Registry, EveryRungPortfolioIsRegisteredAndNonEmpty) {
   const auto fast = quality_portfolio(QualityTier::kFast);
   ASSERT_EQ(fast.size(), 1u);
   EXPECT_EQ(fast[0], Method::kGreedyHc);
+}
+
+// --- Every walk is pinned --------------------------------------------------
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value) {
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return fnv1a(h, bytes);
+}
+
+// One digest over the cut and sides of every registered method on
+// every property family, at n = 80 and 81 and seeds 1 and 2. A change
+// that moves any walk (a tie order, a bucket scan, a draw) moves the
+// digest; a refactor that must move none keeps it.
+TEST(Methods, WalkDigestIsPinned) {
+  RunConfig config;
+  config.threads = 1;
+  config.sa.temperature_length_factor = 2.0;
+  config.sa.cooling_ratio = 0.85;
+  std::uint64_t digest = kFnvOffset;
+  for (const Method method : test::registered_methods()) {
+    for (const test::Family family : test::kFamilies) {
+      for (const std::uint32_t n : {80u, 81u}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          Rng gen(seed * 1000 + n);
+          const Graph g = test::make_family(family, n, gen);
+          std::vector<std::uint8_t> sides;
+          const RunResult result =
+              run_method_seeded(g, method, seed, config, &sides);
+          digest = fnv1a(digest, static_cast<std::uint64_t>(result.best_cut));
+          digest = fnv1a(digest, sides);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x4b0e48b912e40670ull) << std::hex << digest;
 }
 
 // --- Path optimization -----------------------------------------------------
@@ -228,6 +281,162 @@ TEST(PathOpt, MeanCutWithinFivePercentOfKlOnExperimentClasses) {
   EXPECT_LE(po_total, 1.05 * kl_total)
       << "path-opt mean cut " << po_total / (5 * kStarts)
       << " vs KL " << kl_total / (5 * kStarts);
+}
+
+// The O(|V|)-per-flip selection path optimization used before it moved
+// onto gain buckets, kept as the reference the bucket walk must match:
+// max gain over the unlocked vertices of the required side, ties to
+// the freshest stamp (every flip restamps its neighbors in adjacency
+// order), then to the lowest id.
+Weight reference_path_pass(Bisection& bisection, PathOptStats& stats) {
+  const Graph& g = bisection.graph();
+  const std::size_t n = g.num_vertices();
+  const Weight cut_before = bisection.cut();
+  std::vector<std::uint8_t> sides(bisection.sides().begin(),
+                                  bisection.sides().end());
+  std::vector<Weight> gains = all_gains(bisection);
+  std::vector<std::uint8_t> locked(n, 0);
+  std::vector<std::uint64_t> stamp(n, 0);
+  std::uint64_t clock = 0;
+  std::vector<Vertex> path;
+  Weight cumulative = 0, best_cumulative = 0;
+  std::size_t best_len = 0;
+  for (;;) {
+    const std::uint8_t required = (path.size() & 1u) != 0 ? 1 : 0;
+    bool found = false;
+    Vertex pick = 0;
+    for (Vertex v = 0; v < n; ++v) {
+      if (locked[v] != 0 || sides[v] != required) continue;
+      if (!found || gains[v] > gains[pick] ||
+          (gains[v] == gains[pick] && stamp[v] > stamp[pick])) {
+        found = true;
+        pick = v;
+      }
+    }
+    if (!found) break;
+    path.push_back(pick);
+    locked[pick] = 1;
+    cumulative += gains[pick];
+    for (const Vertex u : g.neighbors(pick)) stamp[u] = ++clock;
+    update_gains_after_move(g, sides, pick, gains);
+    sides[pick] ^= 1;
+    if ((path.size() & 1u) == 0 &&
+        (cumulative > best_cumulative ||
+         (cumulative == best_cumulative && best_len > 0))) {
+      best_cumulative = cumulative;
+      best_len = path.size();
+    }
+  }
+  for (std::size_t k = 0; k < best_len; ++k) bisection.move(path[k]);
+  stats.paths += path.empty() ? 0 : 1;
+  stats.flips_proposed += path.size();
+  stats.flips_applied += best_len;
+  return cut_before - bisection.cut();
+}
+
+PathOptStats reference_path_refine(Bisection& bisection) {
+  PathOptStats stats;
+  stats.initial_cut = bisection.cut();
+  for (;;) {
+    const Weight improvement = reference_path_pass(bisection, stats);
+    ++stats.passes;
+    if (improvement == 0) break;
+  }
+  stats.final_cut = bisection.cut();
+  return stats;
+}
+
+/// g with every edge weight multiplied by `factor` (vertex weights kept).
+Graph scale_edge_weights(const Graph& g, Weight factor) {
+  GraphBuilder builder(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    builder.set_vertex_weight(v, g.vertex_weight(v));
+  }
+  for (const Edge& e : g.edges()) builder.add_edge(e.u, e.v, e.weight * factor);
+  return builder.build();
+}
+
+/// g with random edge weights in [1, 9].
+Graph reweight(const Graph& g, Rng& rng) {
+  GraphBuilder builder(g.num_vertices());
+  for (const Edge& e : g.edges()) {
+    builder.add_edge(e.u, e.v, 1 + static_cast<Weight>(rng.below(9)));
+  }
+  return builder.build();
+}
+
+TEST(PathOpt, BucketWalkMatchesReferenceScan) {
+  std::vector<Graph> graphs;
+  Rng gen(31);
+  for (const test::Family family : test::kFamilies) {
+    for (const std::uint32_t n : {80u, 81u, 400u, 401u}) {
+      graphs.push_back(test::make_family(family, n, gen));
+      graphs.push_back(reweight(graphs.back(), gen));
+    }
+  }
+  // Heavy weights put the path buckets on the sparse storage.
+  const std::size_t light = graphs.size();
+  for (std::size_t i = 1; i < light; i += 4) {
+    graphs.push_back(scale_edge_weights(graphs[i], Weight{1} << 40));
+  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    EXPECT_EQ(GainBuckets(g).dense(), i < light);
+    Rng starts(i + 1);
+    for (int s = 0; s < 3; ++s) {
+      const Bisection start = Bisection::random(g, starts);
+      Bisection buckets = start;
+      Bisection reference = start;
+      const PathOptStats got = path_opt_refine(buckets);
+      const PathOptStats want = reference_path_refine(reference);
+      SCOPED_TRACE(testing::Message() << "graph " << i << " start " << s);
+      EXPECT_TRUE(std::equal(buckets.sides().begin(), buckets.sides().end(),
+                             reference.sides().begin()));
+      EXPECT_EQ(buckets.cut(), reference.cut());
+      EXPECT_EQ(got.passes, want.passes);
+      EXPECT_EQ(got.paths, want.paths);
+      EXPECT_EQ(got.flips_proposed, want.flips_proposed);
+      EXPECT_EQ(got.flips_applied, want.flips_applied);
+      EXPECT_EQ(got.initial_cut, want.initial_cut);
+      EXPECT_EQ(got.final_cut, want.final_cut);
+    }
+  }
+}
+
+// Multiplying every edge weight by c scales every gain by c and keeps
+// every comparison, so a method's sides stay put and its cut scales by
+// c. At the large factors the gain buckets run on the sparse storage,
+// so this is also what shows that storage picks the dense one's moves.
+// SA and CSA differ by design: their imbalance penalty is not scaled.
+TEST(Methods, WeightScalingKeepsSidesAndScalesTheCut) {
+  RunConfig config;
+  config.threads = 1;
+  for (const test::Family family : test::kFamilies) {
+    for (const std::uint32_t n : {80u, 81u}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        Rng gen(seed * 1000 + n);
+        const Graph g = test::make_family(family, n, gen);
+        const Weight largest = kMaxTotalWeight / g.total_edge_weight();
+        for (const Weight c : {Weight{3}, Weight{1} << 20, largest}) {
+          const Graph scaled = scale_edge_weights(g, c);
+          for (const Method method : test::registered_methods()) {
+            if (method == Method::kSa || method == Method::kCsa) continue;
+            SCOPED_TRACE(testing::Message()
+                         << method_name(method) << " family "
+                         << static_cast<int>(family) << " n " << n
+                         << " seed " << seed << " c " << c);
+            std::vector<std::uint8_t> sides, scaled_sides;
+            const RunResult base =
+                run_method_seeded(g, method, seed, config, &sides);
+            const RunResult result =
+                run_method_seeded(scaled, method, seed, config, &scaled_sides);
+            EXPECT_EQ(scaled_sides, sides);
+            EXPECT_EQ(result.best_cut, base.best_cut * c);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Greedy + hill climb (the fast rung) -----------------------------------

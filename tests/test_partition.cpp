@@ -232,13 +232,27 @@ TEST(Rebalance, AllOnOneSide) {
   EXPECT_TRUE(b.validate());
 }
 
-TEST(GainBuckets, InsertRemoveUpdate) {
-  GainBuckets buckets(10, 5);
+// Every bucket test runs on both storages: the same gains under a
+// bound whose heads fit the dense array, and under one past it, which
+// selects the ordered map.
+class GainBucketStorage : public testing::TestWithParam<bool> {
+ protected:
+  GainBuckets make(std::uint32_t capacity, Weight max_gain) const {
+    GainBuckets buckets(capacity, GetParam() ? max_gain : kMaxTotalWeight);
+    EXPECT_EQ(buckets.dense(), GetParam());
+    return buckets;
+  }
+};
+
+TEST_P(GainBucketStorage, InsertRemoveUpdate) {
+  GainBuckets buckets = make(10, 5);
   EXPECT_TRUE(buckets.empty());
   buckets.insert(3, 2);
   buckets.insert(4, -5);
   buckets.insert(5, 2);
   EXPECT_EQ(buckets.max_gain_present(), 2);
+  EXPECT_EQ(buckets.next_below(2), -5);
+  EXPECT_EQ(buckets.next_below(-5), GainBuckets::kEmpty);
   EXPECT_TRUE(buckets.contains(3));
   EXPECT_FALSE(buckets.contains(0));
   EXPECT_EQ(buckets.gain(4), -5);
@@ -247,27 +261,39 @@ TEST(GainBuckets, InsertRemoveUpdate) {
   EXPECT_EQ(buckets.max_gain_present(), 2);
   buckets.remove(3);
   EXPECT_EQ(buckets.max_gain_present(), -5);
+  EXPECT_EQ(buckets.bucket_head(2), GainBuckets::kNil);
   buckets.update(4, 5);
   EXPECT_EQ(buckets.max_gain_present(), 5);
+  EXPECT_EQ(buckets.next_below(5), GainBuckets::kEmpty);
   buckets.remove(4);
   EXPECT_TRUE(buckets.empty());
 }
 
-TEST(GainBuckets, BucketIterationCoversAll) {
-  GainBuckets buckets(6, 3);
+TEST_P(GainBucketStorage, BucketIterationCoversAll) {
+  GainBuckets buckets = make(6, 3);
   buckets.insert(0, 1);
   buckets.insert(1, 1);
   buckets.insert(2, 1);
-  int count = 0;
-  for (auto it = buckets.bucket_head(1); it != GainBuckets::kNil;
-       it = buckets.bucket_next(static_cast<Vertex>(it))) {
-    ++count;
+  buckets.insert(3, -3);
+  buckets.insert(4, 3);
+  // Descending gains, each bucket in LIFO order.
+  std::vector<std::int64_t> order;
+  for (Weight g = buckets.max_gain_present(); g != GainBuckets::kEmpty;
+       g = buckets.next_below(g)) {
+    for (auto it = buckets.bucket_head(g); it != GainBuckets::kNil;
+         it = buckets.bucket_next(static_cast<Vertex>(it))) {
+      order.push_back(it);
+    }
   }
-  EXPECT_EQ(count, 3);
+  EXPECT_EQ(order, (std::vector<std::int64_t>{4, 2, 1, 0, 3}));
+  // An update that changes a gain moves the vertex to its new head.
+  buckets.update(0, 3);
+  EXPECT_EQ(buckets.bucket_head(3), 0);
+  EXPECT_EQ(buckets.bucket_next(0), 4);
 }
 
-TEST(GainBuckets, RemoveMiddleOfBucket) {
-  GainBuckets buckets(6, 3);
+TEST_P(GainBucketStorage, RemoveMiddleOfBucket) {
+  GainBuckets buckets = make(6, 3);
   buckets.insert(0, 1);
   buckets.insert(1, 1);
   buckets.insert(2, 1);
@@ -279,6 +305,34 @@ TEST(GainBuckets, RemoveMiddleOfBucket) {
     ++count;
   }
   EXPECT_EQ(count, 2);
+  // Emptying the bucket takes its gain out of the scan.
+  buckets.insert(3, -2);
+  buckets.remove(2);
+  buckets.remove(0);
+  EXPECT_EQ(buckets.max_gain_present(), -2);
+  EXPECT_EQ(buckets.bucket_head(1), GainBuckets::kNil);
+}
+
+INSTANTIATE_TEST_SUITE_P(Storages, GainBucketStorage, testing::Bool(),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "dense" : "sparse";
+                         });
+
+TEST(GainBuckets, DenseUpToSixteenHeadsPerVertexOrTheFloor) {
+  EXPECT_TRUE(GainBuckets(10, (GainBuckets::kDenseFloor - 1) / 2).dense());
+  EXPECT_FALSE(GainBuckets(10, GainBuckets::kDenseFloor / 2).dense());
+  const std::uint32_t n = 100000;
+  const Weight heads = GainBuckets::kDenseFactor * Weight{n};
+  EXPECT_TRUE(GainBuckets(n, (heads - 1) / 2).dense());
+  EXPECT_FALSE(GainBuckets(n, heads / 2).dense());
+  // The Graph constructor bounds gains by the largest weighted degree,
+  // which is 2 on a cycle.
+  GainBuckets from_graph(make_cycle(10));
+  EXPECT_TRUE(from_graph.dense());
+  from_graph.insert(0, -2);
+  from_graph.insert(9, 2);
+  EXPECT_EQ(from_graph.max_gain_present(), 2);
+  EXPECT_EQ(from_graph.next_below(2), -2);
 }
 
 }  // namespace

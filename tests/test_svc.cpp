@@ -2188,6 +2188,49 @@ TEST(Service, SolveByUnknownFingerprintIsAnIoError) {
   EXPECT_EQ(error, "io: unknown graph \"" + to_hex16(0x1234) + "\"");
 }
 
+TEST(Service, OverLimitWeightsAnswerAnErrorForEveryMethod) {
+  // A saturated weight reads as INT64_MAX. Past the 2^60 total weight
+  // limit the graph is refused at parse time, before any solver forms
+  // a weight sum, and the stream keeps serving.
+  const std::string graph =
+      "\"inline\":\"4 4\\n0 1 99999999999999999999\\n1 2\\n2 3\\n3 0\\n\"";
+  std::vector<std::string> lines;
+  for (const char* pick :
+       {"\"quality\":\"balanced\"", "\"quality\":\"best\"",
+        "\"method\":\"ckl\"", "\"method\":\"cfm\"", "\"method\":\"sa\"",
+        "\"method\":\"csa\""}) {
+    lines.push_back("{\"id\":\"w\",\"op\":\"solve\"," + graph + "," + pick +
+                    "}");
+  }
+  lines.push_back("{\"id\":\"p\",\"op\":\"ping\"}");
+  const auto out = run_sequence(test_options(), lines);
+  ASSERT_EQ(out.size(), 7u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    std::string error;
+    ASSERT_TRUE(json_parse_string(out[i], "error", error)) << out[i];
+    EXPECT_EQ(error,
+              "parse: inline graph: edge_list: total edge weight exceeds "
+              "the 2^60 limit");
+  }
+  EXPECT_TRUE(out[6].starts_with("{\"id\":\"p\",\"ok\":true")) << out[6];
+
+  // A mutation that would carry a graph across the limit is refused.
+  GraphBuilder at_limit(3);
+  at_limit.add_edge(0, 1, kMaxTotalWeight);
+  SvcOptions options = test_options();
+  options.batch_size = 1;
+  Service service(options);
+  std::vector<std::string> mutated;
+  service.submit_line(
+      mutate_inline_line("m", at_limit.build(), ",\"add_edges\":[1,2]"),
+      mutated);
+  service.drain(mutated);
+  ASSERT_EQ(mutated.size(), 1u);
+  std::string error;
+  ASSERT_TRUE(json_parse_string(mutated[0], "error", error)) << mutated[0];
+  EXPECT_EQ(error, "mutate: total edge weight exceeds the 2^60 limit");
+}
+
 TEST(Service, MutateRejectsBadBatchesWithStableReasons) {
   const Graph g = make_grid(4, 4);
   SvcOptions options = test_options();

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "gbis/harness/fault_injection.hpp"
 #include "gbis/io/io_error.hpp"
 #include "gbis/io/journal.hpp"
 #include "gbis/svc/fingerprint.hpp"
@@ -377,13 +376,10 @@ CampaignResult run_campaign(std::span<const Graph> graphs,
         adopted_records);
   }
 
-  const FaultPlan env_faults =
-      options.faults == nullptr ? FaultPlan::from_env() : FaultPlan();
   TrialRunOptions run_options;
   run_options.keep_sides = options.keep_sides;
   run_options.stop = options.stop;
-  run_options.faults =
-      options.faults != nullptr ? options.faults : &env_faults;
+  run_options.faults = options.faults;
   run_options.precompleted = precompleted.empty() ? nullptr : &precompleted;
   if (journal != nullptr) {
     run_options.on_complete = [&journal](std::uint64_t id,

@@ -108,7 +108,7 @@ struct CampaignOptions {
   std::string resume_path;
   /// Graceful shutdown flag (e.g. &shutdown_flag()).
   const std::atomic<bool>* stop = nullptr;
-  /// Fault plan; nullptr reads GBIS_FAULTS from the environment.
+  /// Campaign fault plan (kCampaignFaults); nullptr = no faults.
   const FaultPlan* faults = nullptr;
   bool keep_sides = false;
 };

@@ -21,38 +21,28 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/harness/stats.hpp"
 #include "gbis/harness/table.hpp"
+#include "gbis/util/env.hpp"
 
 namespace gbis {
 
 namespace {
 
-void warn_rejected(const char* name, const char* raw, const char* expected) {
-  std::cerr << "gbis: ignoring " << name << "=\"" << raw << "\" (expected "
-            << expected << "); keeping the default\n";
-}
-
-double env_double(const char* name, double fallback) {
+/// A positive number from `name`; unset or rejected keeps `fallback`.
+double env_positive(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !(value > 0.0)) {
-    warn_rejected(name, raw, "a positive number");
+  double value = 0;
+  if (!parse_whole_double(raw, value) || !(value > 0.0)) {
+    warn_rejected(name, raw);
     return fallback;
   }
   return value;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') {
-    warn_rejected(name, raw, "an unsigned integer");
-    return fallback;
-  }
-  return value;
+/// A 32-bit count from `name`; unset or rejected keeps `fallback`.
+std::uint32_t env_u32(const char* name, std::uint32_t fallback) {
+  return static_cast<std::uint32_t>(
+      env_u64(name, 0, UINT32_MAX).value_or(fallback));
 }
 
 /// Scales a vertex count, keeping it even and at least 4.
@@ -184,17 +174,14 @@ struct SweepImprovement {
 
 ExperimentEnv experiment_env() {
   ExperimentEnv env;
-  env.scale = env_double("GBIS_SCALE", env.scale);
-  env.graphs_per_setting = static_cast<std::uint32_t>(
-      env_u64("GBIS_GRAPHS_PER_SETTING", env.graphs_per_setting));
-  env.starts =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
-                                     env_u64("GBIS_STARTS", env.starts)));
-  env.seed = env_u64("GBIS_SEED", env.seed);
-  env.threads =
-      static_cast<std::uint32_t>(env_u64("GBIS_THREADS", env.threads));
+  env.scale = env_positive("GBIS_SCALE", env.scale);
+  env.graphs_per_setting =
+      env_u32("GBIS_GRAPHS_PER_SETTING", env.graphs_per_setting);
+  env.starts = std::max<std::uint32_t>(1, env_u32("GBIS_STARTS", env.starts));
+  env.seed = env_u64("GBIS_SEED", 0, UINT64_MAX).value_or(env.seed);
+  env.threads = env_u32("GBIS_THREADS", env.threads);
   env.sa_length_factor =
-      env_double("GBIS_SA_LENGTH", env.sa_length_factor);
+      env_positive("GBIS_SA_LENGTH", env.sa_length_factor);
   if (const char* dir = std::getenv("GBIS_CSV_DIR"); dir != nullptr) {
     env.csv_dir = dir;
   }

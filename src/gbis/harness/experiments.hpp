@@ -42,9 +42,10 @@ struct ExperimentEnv {
   std::string csv_dir;  ///< empty = no CSV export
 };
 
-/// Reads the GBIS_* environment variables. Malformed values keep their
-/// defaults and emit a one-line stderr warning naming the variable and
-/// the rejected text.
+/// Reads the GBIS_* environment variables. Numbers follow the flags'
+/// whole-text rules (util/env); a malformed or out-of-range value
+/// keeps its default and emits a one-line stderr warning naming the
+/// variable and the rejected text.
 ExperimentEnv experiment_env();
 
 /// The RunConfig the paper-table drivers use for KL/SA/CKL/CSA.

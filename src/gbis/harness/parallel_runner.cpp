@@ -68,7 +68,8 @@ TrialResult run_trial(const Graph& g, Method method, std::uint64_t seed,
   TrialResult out;
   const CpuTimer timer;
   try {
-    maybe_inject_fault(context.faults, trial_id, context.deadline);
+    maybe_inject_fault(context.faults, FaultSite::kTrial, trial_id,
+                       context.deadline);
     Rng rng(splitmix64_at(seed, trial_id));
     const Bisection b = run_one_start(g, method, rng, local);
     out.cut = b.cut();

@@ -91,7 +91,7 @@ Bisection run_one_start(const Graph& g, Method method, Rng& rng,
     }
     case Method::kGreedyHc: {
       const ScopedPhase bisect(sink, Phase::kBisect);
-      return greedy_hc_bisection(g, rng, config.greedy_hc);
+      return greedy_hc_bisection(g, rng);
     }
   }
   throw std::invalid_argument("run_method: unknown method");

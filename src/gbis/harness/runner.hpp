@@ -70,7 +70,6 @@ struct RunConfig {
   SaOptions sa;
   FmOptions fm;
   PathOptOptions path;
-  GreedyHcOptions greedy_hc;
   CompactionOptions compaction;
   MultilevelOptions multilevel;
   /// Observability knobs (collection, export paths, live progress).

@@ -7,13 +7,22 @@
 
 namespace gbis {
 
-Bisection greedy_hc_bisection(const Graph& g, Rng& rng,
-                              const GreedyHcOptions& options) {
+namespace {
+
+/// Hill-climb proposal budget as a multiple of |V| (a hard cap, not a
+/// patience window: the rung must have bounded latency).
+constexpr double kProposalFactor = 4.0;
+/// Patience passed through to the climber, as a multiple of |V|.
+constexpr double kPatienceFactor = 2.0;
+
+}  // namespace
+
+Bisection greedy_hc_bisection(const Graph& g, Rng& rng) {
   Bisection b = greedy_bisection(g, rng);
   HillClimbOptions climb;
   const double n = static_cast<double>(g.num_vertices());
-  climb.max_proposals = static_cast<std::uint64_t>(options.proposal_factor * n);
-  climb.patience_factor = options.patience_factor;
+  climb.max_proposals = static_cast<std::uint64_t>(kProposalFactor * n);
+  climb.patience_factor = kPatienceFactor;
   if (climb.max_proposals > 0) hill_climb(b, rng, climb);
   return b;
 }

@@ -23,18 +23,8 @@
 
 namespace gbis {
 
-/// Knobs for the fast rung.
-struct GreedyHcOptions {
-  /// Hill-climb proposal budget as a multiple of |V| (hard cap, not a
-  /// patience window — the rung must have bounded latency).
-  double proposal_factor = 4.0;
-  /// Patience passed through to the climber, as a multiple of |V|.
-  double patience_factor = 2.0;
-};
-
 /// Greedy region growing + bounded hill climb. Balanced by
 /// construction; never worse than the plain greedy bisection.
-Bisection greedy_hc_bisection(const Graph& g, Rng& rng,
-                              const GreedyHcOptions& options = {});
+Bisection greedy_hc_bisection(const Graph& g, Rng& rng);
 
 }  // namespace gbis

@@ -114,7 +114,6 @@ PathOptStats path_opt_refine(Bisection& bisection,
       sink->trace_point(TraceSource::kPo, bisection.cut());
     }
     if (improvement == 0) break;
-    if (options.max_passes != 0 && stats.passes >= options.max_passes) break;
   }
   stats.final_cut = bisection.cut();
   return stats;

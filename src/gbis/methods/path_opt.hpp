@@ -20,8 +20,8 @@
 // KL best-prefix rule transplanted from the pair sequence to the flip
 // walk. Every flipped vertex is locked for the rest of the pass, so a
 // pass proposes at most |V| flips and termination is unconditional.
-// Passes repeat until one yields no improvement (or a configured cap),
-// exactly like kl_refine.
+// Passes repeat until one yields no improvement, exactly like
+// kl_refine.
 //
 // Tie-breaking is deterministic everywhere (max gain, then LIFO bucket
 // order: the most recently touched vertex, then the lowest vertex id)
@@ -42,13 +42,11 @@ namespace gbis {
 
 class MetricsSink;
 
-/// Tuning knobs for the path-optimization driver. Mirrors KlOptions:
-/// the deadline is polled cooperatively inside the growth loop (every
-/// 32 flips) and once per pass, and the sink is flushed once per pass.
+/// What a path-optimization run is bound to; no field changes its
+/// result. The deadline is polled cooperatively inside the growth loop
+/// (every 32 flips) and once per pass, and the sink is flushed once
+/// per pass.
 struct PathOptOptions {
-  /// Maximum number of passes; 0 means run until a pass gives no
-  /// improvement.
-  std::uint32_t max_passes = 0;
   /// Cooperative wall-clock budget; expiry throws DeadlineExceeded
   /// (the trial runner maps it to a timed-out trial).
   Deadline deadline;
@@ -66,9 +64,9 @@ struct PathOptStats {
   Weight final_cut = 0;
 };
 
-/// Runs path-optimization passes on `bisection` in place until
-/// fixpoint (or options.max_passes). Never increases the cut and
-/// preserves the balance exactly. Returns diagnostics.
+/// Runs path-optimization passes on `bisection` in place until a pass
+/// gives no improvement. Never increases the cut and preserves the
+/// balance exactly. Returns diagnostics.
 PathOptStats path_opt_refine(Bisection& bisection,
                              const PathOptOptions& options = {});
 

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <numeric>
 #include <ostream>
 #include <string_view>
+
+#include "gbis/util/env.hpp"
 
 namespace gbis {
 
@@ -105,13 +106,6 @@ constexpr const char* kPhaseNames[kNumPhases] = {
 };
 
 constexpr const char* kTraceSourceNames[] = {"kl", "sa", "fm", "po"};
-
-// Same stderr shape as experiments.cpp / fault_injection.cpp: name the
-// variable and the rejected text, then keep the default.
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
 
 }  // namespace
 

@@ -1,10 +1,11 @@
 #include "gbis/obs/trace.hpp"
 
-#include <cstdlib>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 
 #include "gbis/io/io_error.hpp"
+#include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
@@ -15,76 +16,6 @@ void write_aux(std::ostream& out, double aux) {
   out.precision(std::numeric_limits<double>::max_digits10);
   out << aux;
   out.precision(precision);
-}
-
-/// Flat one-line JSON field scan (the checkpoint-journal convention:
-/// keys are fixed identifiers, values are unquoted numbers or short
-/// quoted names, so a substring find is exact).
-std::size_t find_value(const std::string& line, const char* key) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  return at + needle.size();
-}
-
-std::uint64_t parse_u64(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const std::uint64_t value = std::strtoull(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return value;
-}
-
-std::int64_t parse_i64(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const std::int64_t value = std::strtoll(line.c_str() + i, &end, 10);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return value;
-}
-
-double parse_double(const std::string& line, const char* key) {
-  const std::size_t i = find_value(line, key);
-  if (i == std::string::npos) {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  char* end = nullptr;
-  const double value = std::strtod(line.c_str() + i, &end);
-  if (end == line.c_str() + i) {
-    throw IoError("convergence: bad \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return value;
-}
-
-std::string parse_name(const std::string& line, const char* key) {
-  std::size_t i = find_value(line, key);
-  if (i == std::string::npos || i >= line.size() || line[i] != '"') {
-    throw IoError("convergence: missing \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  ++i;
-  const std::size_t close = line.find('"', i);
-  if (close == std::string::npos) {
-    throw IoError("convergence: unterminated \"" + std::string(key) +
-                  "\" in: " + line);
-  }
-  return line.substr(i, close - i);
 }
 
 TraceSource source_from_name(const std::string& name,
@@ -139,16 +70,28 @@ void write_convergence_csv(std::ostream& out,
 }
 
 ConvergenceLine parse_convergence_line(const std::string& line) {
+  const JsonFieldIndex fields(line);
+  const auto require = [&](std::string_view key, bool parsed) {
+    if (parsed) return;
+    throw IoError("convergence: " +
+                  std::string(fields.has(key) ? "bad" : "missing") + " \"" +
+                  std::string(key) + "\" in: " + line);
+  };
   ConvergenceLine parsed;
-  parsed.trial = parse_u64(line, "trial");
-  parsed.graph = static_cast<std::uint32_t>(parse_u64(line, "graph"));
-  parsed.method = parse_name(line, "method");
-  parsed.start = static_cast<std::uint32_t>(parse_u64(line, "start"));
-  parsed.point.step = parse_u64(line, "step");
-  parsed.point.source = source_from_name(parse_name(line, "source"), line);
-  parsed.point.cut = parse_i64(line, "cut");
-  parsed.point.best = parse_i64(line, "best");
-  parsed.point.aux = parse_double(line, "aux");
+  std::uint64_t graph = 0, start = 0;
+  std::string source;
+  require("trial", fields.parse_u64("trial", parsed.trial));
+  require("graph", fields.parse_u64("graph", graph) && graph <= UINT32_MAX);
+  require("method", fields.parse_string("method", parsed.method));
+  require("start", fields.parse_u64("start", start) && start <= UINT32_MAX);
+  require("step", fields.parse_u64("step", parsed.point.step));
+  require("source", fields.parse_string("source", source));
+  require("cut", fields.parse_i64("cut", parsed.point.cut));
+  require("best", fields.parse_i64("best", parsed.point.best));
+  require("aux", fields.parse_double("aux", parsed.point.aux));
+  parsed.graph = static_cast<std::uint32_t>(graph);
+  parsed.start = static_cast<std::uint32_t>(start);
+  parsed.point.source = source_from_name(source, line);
   return parsed;
 }
 

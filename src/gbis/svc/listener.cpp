@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -19,16 +18,12 @@
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/io/io_error.hpp"
 #include "gbis/io/journal.hpp"
+#include "gbis/util/env.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
 namespace {
-
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <new>
@@ -21,18 +20,12 @@
 #include "gbis/obs/trace_export.hpp"
 #include "gbis/rng/splitmix.hpp"
 #include "gbis/svc/fingerprint.hpp"
+#include "gbis/util/env.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
 
 namespace {
-
-// Same stderr shape as the other GBIS_* knobs: name the variable and
-// the rejected text, then keep the default.
-void warn_rejected(const char* var, const char* text) {
-  std::cerr << "gbis: ignoring malformed " << var << "=\"" << text
-            << "\" (keeping default)\n";
-}
 
 const char* op_name(SvcRequest::Op op) {
   switch (op) {
@@ -43,17 +36,6 @@ const char* op_name(SvcRequest::Op op) {
     case SvcRequest::Op::kTrace: return "trace";
   }
   return "solve";
-}
-
-/// A whole-mebibyte count: digits only, so no sign, and at most
-/// kMaxMebibytes, so its byte value fits in 64 bits.
-bool parse_mebibytes(const char* text, std::uint64_t& mb) {
-  if (std::isdigit(static_cast<unsigned char>(*text)) == 0) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || value > kMaxMebibytes) return false;
-  mb = value;
-  return true;
 }
 
 /// A span from `start` to `end` on the service epoch, with an optional
@@ -103,13 +85,8 @@ std::shared_ptr<const Graph> load_graph(const SvcRequest& req,
 }  // namespace
 
 SvcOptions svc_options_from_env(SvcOptions base) {
-  if (const char* v = std::getenv("GBIS_SVC_CACHE_MB"); v != nullptr) {
-    std::uint64_t mb = 0;
-    if (!parse_mebibytes(v, mb)) {
-      warn_rejected("GBIS_SVC_CACHE_MB", v);
-    } else {
-      base.cache_bytes = mb << 20;
-    }
+  if (const auto mb = env_u64("GBIS_SVC_CACHE_MB", 0, kMaxMebibytes)) {
+    base.cache_bytes = *mb << 20;
   }
   if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG"); v != nullptr) {
     if (*v == '\0') {
@@ -119,9 +96,8 @@ SvcOptions svc_options_from_env(SvcOptions base) {
     }
   }
   if (const char* v = std::getenv("GBIS_SVC_SLOW_MS"); v != nullptr) {
-    char* end = nullptr;
-    const double ms = std::strtod(v, &end);
-    if (*v == '\0' || end == nullptr || *end != '\0' || !(ms >= 0)) {
+    double ms = 0;
+    if (!parse_whole_double(v, ms) || ms < 0) {
       warn_rejected("GBIS_SVC_SLOW_MS", v);
     } else {
       base.slow_ms = ms;
@@ -134,10 +110,10 @@ SvcOptions svc_options_from_env(SvcOptions base) {
       base.cache_file = v;
     }
   }
-  // SvcFaultPlan::from_env warns and yields an empty plan on a
-  // malformed spec, matching the campaign GBIS_FAULTS knob.
-  if (const SvcFaultPlan plan = SvcFaultPlan::from_env(); !plan.empty()) {
-    base.faults = plan;
+  // from_env warns and yields an empty plan on a malformed spec.
+  if (FaultPlan plan = FaultPlan::from_env("GBIS_SVC_FAULTS", kServiceFaults);
+      !plan.empty()) {
+    base.faults = std::move(plan);
   }
   if (const char* v = std::getenv("GBIS_SVC_BROWNOUT"); v != nullptr) {
     const std::string text(v);
@@ -149,23 +125,11 @@ SvcOptions svc_options_from_env(SvcOptions base) {
       warn_rejected("GBIS_SVC_BROWNOUT", v);
     }
   }
-  if (const char* v = std::getenv("GBIS_SVC_BROWNOUT_WINDOW"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long window = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0' || window == 0 ||
-        window > 0xFFFFFFFFull) {
-      warn_rejected("GBIS_SVC_BROWNOUT_WINDOW", v);
-    } else {
-      base.brownout_window = static_cast<std::uint32_t>(window);
-    }
+  if (const auto window = env_u64("GBIS_SVC_BROWNOUT_WINDOW", 1, UINT32_MAX)) {
+    base.brownout_window = static_cast<std::uint32_t>(*window);
   }
-  if (const char* v = std::getenv("GBIS_SVC_GRAPH_MB"); v != nullptr) {
-    std::uint64_t mb = 0;
-    if (!parse_mebibytes(v, mb)) {
-      warn_rejected("GBIS_SVC_GRAPH_MB", v);
-    } else {
-      base.graph_store_bytes = mb << 20;
-    }
+  if (const auto mb = env_u64("GBIS_SVC_GRAPH_MB", 0, kMaxMebibytes)) {
+    base.graph_store_bytes = *mb << 20;
   }
   if (const char* v = std::getenv("GBIS_SVC_WARM"); v != nullptr) {
     const std::string text(v);
@@ -192,21 +156,11 @@ SvcOptions svc_options_from_env(SvcOptions base) {
       base.flight_file = v;
     }
   }
-  if (const char* v = std::getenv("GBIS_SVC_FLIGHT_RING"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long long ring = std::strtoull(v, &end, 10);
-    if (*v == '\0' || end == nullptr || *end != '\0' || ring == 0 ||
-        ring > 0xFFFFFFFFull) {
-      warn_rejected("GBIS_SVC_FLIGHT_RING", v);
-    } else {
-      base.flight_ring = static_cast<std::uint32_t>(ring);
-    }
+  if (const auto ring = env_u64("GBIS_SVC_FLIGHT_RING", 1, UINT32_MAX)) {
+    base.flight_ring = static_cast<std::uint32_t>(*ring);
   }
-  if (const char* v = std::getenv("GBIS_SVC_ACCESS_LOG_MAX_MB");
-      v != nullptr) {
-    if (!parse_mebibytes(v, base.access_log_max_mb)) {
-      warn_rejected("GBIS_SVC_ACCESS_LOG_MAX_MB", v);
-    }
+  if (const auto mb = env_u64("GBIS_SVC_ACCESS_LOG_MAX_MB", 0, kMaxMebibytes)) {
+    base.access_log_max_mb = *mb;
   }
   return base;
 }
@@ -1075,8 +1029,8 @@ void Service::process_batch(std::vector<std::string>& out,
   // a deterministic function of the submit/process call sequence.
   // crash@batch:N is the chaos suite's SIGKILL — batches before N are
   // fully journaled and flushed, this one dies before any work.
-  maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kBatch,
-                         batch_ordinal_++, Deadline(), stop);
+  maybe_inject_fault(&options_.faults, FaultSite::kBatch, batch_ordinal_++,
+                     Deadline(), stop);
   const bool stopping =
       stop != nullptr && stop->load(std::memory_order_acquire);
 
@@ -1198,12 +1152,10 @@ void Service::solve_one(Pending& entry, const std::atomic<bool>* stop) const {
   // req-/solve-site fault injection, at the exact point a cold solve
   // starts. Exceptions land in the pool's per-job error slot and are
   // mapped like any other solve failure.
-  if (!options_.faults.empty()) {
-    maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kReq, entry.seq,
-                           deadline, stop);
-    maybe_inject_svc_fault(&options_.faults, SvcFaultSite::kSolve,
-                           entry.solve_ordinal, deadline, stop);
-  }
+  maybe_inject_fault(&options_.faults, FaultSite::kReq, entry.seq, deadline,
+                     stop);
+  maybe_inject_fault(&options_.faults, FaultSite::kSolve, entry.solve_ordinal,
+                     deadline, stop);
   SpanBuffer spans(&entry.worker_spans);
   if (!entry.warm_start || !solve_warm(entry, deadline, spans)) {
     const std::size_t first = entry.worker_spans.size();

@@ -110,8 +110,9 @@ struct SvcOptions {
   /// the first request, so repeats of pre-crash solves answer as hits
   /// with byte-identical payloads.
   std::string cache_file;
-  /// Service-scoped fault plan (GBIS_SVC_FAULTS); empty = no faults.
-  SvcFaultPlan faults;
+  /// Service fault plan (kServiceFaults, GBIS_SVC_FAULTS); empty = no
+  /// faults.
+  FaultPlan faults;
   /// Overload brownout ladder (see docs/ROBUSTNESS.md): false turns
   /// every level into 0 (no clamping, no shedding).
   bool brownout = true;
@@ -159,8 +160,9 @@ inline constexpr std::uint64_t kMaxMebibytes = (std::uint64_t{1} << 44) - 1;
 /// GBIS_SVC_ACCESS_LOG_MAX_MB (whole mebibytes; 0 = unbounded) onto
 /// `base`.
 /// Malformed values warn on stderr and keep the default, matching
-/// every other GBIS_* knob; a mebibyte count is malformed when it
-/// carries a sign or exceeds kMaxMebibytes.
+/// every other GBIS_* knob. Counts and milliseconds follow the flags'
+/// whole-text rules (util/env); a mebibyte count is also malformed
+/// above kMaxMebibytes.
 SvcOptions svc_options_from_env(SvcOptions base);
 
 /// The service. See the file comment for the determinism contract.

@@ -480,6 +480,10 @@ bool JsonFieldIndex::parse_u64(std::string_view key,
   return parse_u64_at(line_, find(key), out);
 }
 
+bool JsonFieldIndex::parse_i64(std::string_view key, std::int64_t& out) const {
+  return parse_i64_at(line_, find(key), out);
+}
+
 bool JsonFieldIndex::parse_double(std::string_view key, double& out) const {
   return parse_double_at(line_, find(key), out);
 }

@@ -1,9 +1,10 @@
 // Minimal flat-JSON helpers shared by every NDJSON surface in gbis —
-// the checkpoint journal (harness/checkpoint.*) and the service
-// protocol (svc/protocol.*). This is deliberately not a JSON library:
-// every producer in this repo emits one flat object per line with
-// known keys, so the consumers scan for keys and parse the value
-// token in place, no DOM, no allocation beyond the output string. A
+// the checkpoint journal (harness/checkpoint.*), the service protocol
+// (svc/protocol.*) and the convergence trace reader (obs/trace.*).
+// This is deliberately not a JSON library: every producer in this repo
+// emits one flat object per line with known keys, so the consumers
+// scan for keys and parse the value token in place, no DOM, no
+// allocation beyond the output string. A
 // reader of many keys builds a JsonFieldIndex: one walk, then one
 // (key, offset) pair per top-level member.
 //
@@ -127,6 +128,7 @@ class JsonFieldIndex {
 
   bool parse_string(std::string_view key, std::string& out) const;
   bool parse_u64(std::string_view key, std::uint64_t& out) const;
+  bool parse_i64(std::string_view key, std::int64_t& out) const;
   bool parse_double(std::string_view key, double& out) const;
   bool parse_bool(std::string_view key, bool& out) const;
   bool parse_u64_array(std::string_view key, std::vector<std::uint64_t>& out,

@@ -99,66 +99,137 @@ TEST(Deadline, RemainingSecondsDecreases) {
 // --- FaultPlan -------------------------------------------------------------
 
 TEST(FaultPlan, ParsesEveryKind) {
-  const FaultPlan plan =
-      FaultPlan::parse("throw@trial:17,hang@trial:23,stop@trial:0");
+  const FaultPlan plan = FaultPlan::parse(
+      "throw@trial:17,hang@trial:23,stop@trial:0", kCampaignFaults);
   EXPECT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan.at(17), FaultKind::kThrow);
-  EXPECT_EQ(plan.at(23), FaultKind::kHang);
-  EXPECT_EQ(plan.at(0), FaultKind::kStop);
-  EXPECT_EQ(plan.at(5), FaultKind::kNone);
-  EXPECT_TRUE(FaultPlan::parse("").empty());
+  EXPECT_EQ(plan.at(FaultSite::kTrial, 17), FaultKind::kThrow);
+  EXPECT_EQ(plan.at(FaultSite::kTrial, 23), FaultKind::kHang);
+  EXPECT_EQ(plan.at(FaultSite::kTrial, 0), FaultKind::kStop);
+  EXPECT_EQ(plan.at(FaultSite::kTrial, 5), FaultKind::kNone);
+  EXPECT_TRUE(FaultPlan::parse("", kCampaignFaults).empty());
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs) {
-  EXPECT_THROW(FaultPlan::parse("bogus"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("throw@trial:"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("throw@vertex:3"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("explode@trial:3"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("throw@trial:3,,"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("bogus", kCampaignFaults),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("throw@trial:", kCampaignFaults),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("throw@vertex:3", kCampaignFaults),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("explode@trial:3", kCampaignFaults),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("throw@trial:3,,", kCampaignFaults),
+               std::invalid_argument);
+}
+
+// Generated over every FaultKind x FaultSite pair, so a kind or site
+// added later is checked without editing a list. Each mode accepts
+// exactly the pairs its grammar has always accepted (campaigns:
+// throw/hang/stop at trial; the service: throw/hang/oom/crash at
+// req/solve/batch), reads `kind@site:n` as at(site, n) == kind, and
+// rejects everything else with its own message.
+TEST(FaultPlan, EachModeAcceptsExactlyItsKindsAndSites) {
+  struct Mode {
+    const FaultGrammar& grammar;
+    const char* var;
+    std::vector<std::string> kinds, sites;
+    std::string message_prefix, usage;
+  };
+  const Mode modes[] = {
+      {kCampaignFaults, "GBIS_FAULTS", {"throw", "hang", "stop"}, {"trial"},
+       "fault spec entry \"", "<throw|hang|stop>@trial:<id>"},
+      {kServiceFaults, "GBIS_SVC_FAULTS", {"throw", "hang", "oom", "crash"},
+       {"req", "solve", "batch"}, "service fault spec entry \"",
+       "<throw|hang|oom|crash>@<req|solve|batch>:<n>"},
+  };
+  const auto listed = [](const std::vector<std::string>& names,
+                         const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  int accepted = 0;
+  for (const Mode& mode : modes) {
+    for (int k = 1; k < kNumFaultKinds; ++k) {
+      for (int s = 0; s < kNumFaultSites; ++s) {
+        const auto kind = static_cast<FaultKind>(k);
+        const auto site = static_cast<FaultSite>(s);
+        const std::string spec = std::string(fault_kind_name(kind)) + "@" +
+                                 fault_site_name(site) + ":7";
+        ::setenv(mode.var, spec.c_str(), 1);
+        const FaultPlan from_env = FaultPlan::from_env(mode.var, mode.grammar);
+        if (listed(mode.kinds, fault_kind_name(kind)) &&
+            listed(mode.sites, fault_site_name(site))) {
+          ++accepted;
+          const FaultPlan plan = FaultPlan::parse(spec, mode.grammar);
+          EXPECT_EQ(plan.size(), 1u) << spec;
+          EXPECT_EQ(plan.at(site, 7), kind) << spec;
+          EXPECT_EQ(plan.at(site, 6), FaultKind::kNone) << spec;
+          EXPECT_EQ(from_env.at(site, 7), kind) << mode.var << "=" << spec;
+          continue;
+        }
+        EXPECT_TRUE(from_env.empty()) << mode.var << "=" << spec;
+        try {
+          FaultPlan::parse(spec, mode.grammar);
+          ADD_FAILURE() << mode.var << " accepted " << spec;
+        } catch (const std::invalid_argument& error) {
+          EXPECT_EQ(error.what(), mode.message_prefix + spec +
+                                      "\" does not match " + mode.usage);
+        }
+      }
+    }
+    ::unsetenv(mode.var);
+  }
+  EXPECT_EQ(accepted, 3 + 12);
 }
 
 TEST(FaultPlan, FromEnvParsesAndToleratesGarbage) {
   ::setenv("GBIS_FAULTS", "throw@trial:4", 1);
-  EXPECT_EQ(FaultPlan::from_env().at(4), FaultKind::kThrow);
+  EXPECT_EQ(FaultPlan::from_env("GBIS_FAULTS", kCampaignFaults)
+                .at(FaultSite::kTrial, 4),
+            FaultKind::kThrow);
   // Malformed env must not throw (a bad knob degrades, never crashes).
   ::setenv("GBIS_FAULTS", "not-a-spec", 1);
-  EXPECT_TRUE(FaultPlan::from_env().empty());
+  EXPECT_TRUE(FaultPlan::from_env("GBIS_FAULTS", kCampaignFaults).empty());
   ::unsetenv("GBIS_FAULTS");
-  EXPECT_TRUE(FaultPlan::from_env().empty());
+  EXPECT_TRUE(FaultPlan::from_env("GBIS_FAULTS", kCampaignFaults).empty());
 }
 
 TEST(SvcFaults, FromEnvParsesAndToleratesGarbage) {
   ::setenv("GBIS_SVC_FAULTS", "oom@solve:2,throw@req:0", 1);
-  const SvcFaultPlan plan = SvcFaultPlan::from_env();
+  const FaultPlan plan = FaultPlan::from_env("GBIS_SVC_FAULTS", kServiceFaults);
   EXPECT_EQ(plan.size(), 2u);
-  EXPECT_EQ(plan.at(SvcFaultSite::kSolve, 2), SvcFaultKind::kOom);
+  EXPECT_EQ(plan.at(FaultSite::kSolve, 2), FaultKind::kOom);
   ::setenv("GBIS_SVC_FAULTS", "kaboom@everything:9", 1);
-  EXPECT_TRUE(SvcFaultPlan::from_env().empty());
+  EXPECT_TRUE(FaultPlan::from_env("GBIS_SVC_FAULTS", kServiceFaults).empty());
   ::unsetenv("GBIS_SVC_FAULTS");
-  EXPECT_TRUE(SvcFaultPlan::from_env().empty());
+  EXPECT_TRUE(FaultPlan::from_env("GBIS_SVC_FAULTS", kServiceFaults).empty());
 }
 
 TEST(SvcFaults, InjectorThrowsTheDocumentedExceptionTypes) {
-  const SvcFaultPlan plan =
-      SvcFaultPlan::parse("throw@req:0,oom@solve:0,hang@solve:1");
+  const FaultPlan plan = FaultPlan::parse(
+      "throw@req:0,oom@solve:0,hang@solve:1", kServiceFaults);
   // No fault at this site/ordinal: a no-op.
-  maybe_inject_svc_fault(&plan, SvcFaultSite::kBatch, 0, Deadline());
-  maybe_inject_svc_fault(nullptr, SvcFaultSite::kReq, 0, Deadline());
-  EXPECT_THROW(
-      maybe_inject_svc_fault(&plan, SvcFaultSite::kReq, 0, Deadline()),
-      InjectedFault);
-  EXPECT_THROW(
-      maybe_inject_svc_fault(&plan, SvcFaultSite::kSolve, 0, Deadline()),
-      std::bad_alloc);
+  maybe_inject_fault(&plan, FaultSite::kBatch, 0, Deadline());
+  maybe_inject_fault(nullptr, FaultSite::kReq, 0, Deadline());
+  EXPECT_THROW(maybe_inject_fault(&plan, FaultSite::kReq, 0, Deadline()),
+               InjectedFault);
+  EXPECT_THROW(maybe_inject_fault(&plan, FaultSite::kSolve, 0, Deadline()),
+               std::bad_alloc);
   // A hang against an already-expired deadline resolves immediately.
-  EXPECT_THROW(maybe_inject_svc_fault(&plan, SvcFaultSite::kSolve, 1,
-                                      Deadline::after(1e-9)),
+  EXPECT_THROW(maybe_inject_fault(&plan, FaultSite::kSolve, 1,
+                                  Deadline::after(1e-9)),
                DeadlineExceeded);
   // ... and against an unlimited deadline, the stop flag frees it.
   std::atomic<bool> stop{true};
-  EXPECT_THROW(maybe_inject_svc_fault(&plan, SvcFaultSite::kSolve, 1,
-                                      Deadline(), &stop),
-               DeadlineExceeded);
+  EXPECT_THROW(
+      maybe_inject_fault(&plan, FaultSite::kSolve, 1, Deadline(), &stop),
+      DeadlineExceeded);
+  // An ordinal is matched whole: req:2^62 fires there, not at req:0.
+  const FaultPlan far =
+      FaultPlan::parse("throw@req:4611686018427387904", kServiceFaults);
+  maybe_inject_fault(&far, FaultSite::kReq, 0, Deadline());
+  EXPECT_THROW(maybe_inject_fault(&far, FaultSite::kReq,
+                                  std::uint64_t{1} << 62, Deadline()),
+               InjectedFault);
 }
 
 // --- Shutdown escalation (second signal during a graceful drain) -----------
@@ -275,7 +346,7 @@ TEST(TrialIsolation, InjectedThrowDegradesOnlyThatTrial) {
   const std::vector<TrialResult> clean =
       run_trials(graphs, trials, config, /*seed=*/123, config.threads);
 
-  const FaultPlan plan = FaultPlan::parse("throw@trial:1");
+  const FaultPlan plan = FaultPlan::parse("throw@trial:1", kCampaignFaults);
   TrialRunOptions options;
   options.faults = &plan;
   const std::vector<TrialResult> faulted = run_trials_ex(
@@ -299,7 +370,7 @@ TEST(TrialIsolation, InjectedHangHitsDeadlineNotTheCampaign) {
   const std::vector<TrialSpec> trials =
       enumerate_trial_matrix(1, methods, config.starts);
 
-  const FaultPlan plan = FaultPlan::parse("hang@trial:2");
+  const FaultPlan plan = FaultPlan::parse("hang@trial:2", kCampaignFaults);
   TrialRunOptions options;
   options.faults = &plan;
   const std::vector<TrialResult> results = run_trials_ex(
@@ -317,7 +388,8 @@ TEST(TrialIsolation, CellAggregationCountsStatuses) {
   const RunConfig config = fast_config(/*starts=*/3, /*threads=*/1);
   const std::vector<TrialSpec> trials =
       enumerate_trial_matrix(1, methods, config.starts);
-  const FaultPlan plan = FaultPlan::parse("throw@trial:0,throw@trial:2");
+  const FaultPlan plan =
+      FaultPlan::parse("throw@trial:0,throw@trial:2", kCampaignFaults);
   TrialRunOptions options;
   options.faults = &plan;
   const std::vector<TrialResult> raw = run_trials_ex(
@@ -469,13 +541,10 @@ TEST(Campaign, ResumeRefusesForeignJournal) {
 
   CampaignOptions options;
   options.journal_path = path;
-  const FaultPlan no_faults;
-  options.faults = &no_faults;
   run_campaign(graphs, methods, config, /*seed=*/1, options);
 
   CampaignOptions resume;
   resume.resume_path = path;
-  resume.faults = &no_faults;
   EXPECT_THROW(run_campaign(graphs, methods, config, /*seed=*/2, resume),
                std::runtime_error);
 }
@@ -493,11 +562,9 @@ TEST(Campaign, KillAndResumeIsBitIdentical) {
   for (unsigned threads : {1u, 8u}) {
     RunConfig config = fast_config(/*starts=*/2, threads);
     const std::uint64_t seed = 20260806;
-    const FaultPlan no_faults;
 
     // Reference: uninterrupted, no journal.
     CampaignOptions plain;
-    plain.faults = &no_faults;
     const CampaignResult reference =
         run_campaign(graphs, methods, config, seed, plain);
     ASSERT_EQ(reference.ok, 6u);
@@ -507,7 +574,8 @@ TEST(Campaign, KillAndResumeIsBitIdentical) {
     // the matrix is skipped (never journaled).
     const std::string path =
         temp_path("journal_resume_" + std::to_string(threads) + ".jsonl");
-    const FaultPlan stop_plan = FaultPlan::parse("stop@trial:2");
+    const FaultPlan stop_plan =
+        FaultPlan::parse("stop@trial:2", kCampaignFaults);
     reset_shutdown();
     CampaignOptions interrupted;
     interrupted.journal_path = path;
@@ -548,7 +616,6 @@ TEST(Campaign, KillAndResumeIsBitIdentical) {
       CampaignOptions resume;
       resume.journal_path = journal;
       resume.resume_path = journal;
-      resume.faults = &no_faults;
       const CampaignResult resumed =
           run_campaign(graphs, methods, config, seed, resume);
       EXPECT_FALSE(resumed.interrupted);
@@ -581,11 +648,9 @@ TEST(Campaign, ShutdownFlagSkipsUndequeuedTrials) {
   const Graph graphs[] = {test_graph()};
   const Method methods[] = {Method::kKl};
   const RunConfig config = fast_config(4, 2);
-  const FaultPlan no_faults;
   std::atomic<bool> stop{true};
   CampaignOptions options;
   options.stop = &stop;
-  options.faults = &no_faults;
   const CampaignResult result =
       run_campaign(graphs, methods, config, /*seed=*/3, options);
   EXPECT_TRUE(result.interrupted);

@@ -1,6 +1,8 @@
 // Tests for the experiment harness: statistics, table printing, and
 // the method runner.
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 
 #include "gbis/gen/planted.hpp"
 #include "gbis/gen/special.hpp"
+#include "gbis/harness/experiments.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/partition/bisection.hpp"
 #include "gbis/harness/stats.hpp"
@@ -116,6 +119,54 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GE(timer.elapsed_seconds(), t0);
   timer.reset();
   EXPECT_LT(timer.elapsed_seconds(), 1.0);
+}
+
+// Experiment knobs read numbers by the flags' whole-text rules; a
+// malformed or out-of-range value warns and keeps the default.
+TEST(ExperimentEnv, MalformedNumbersKeepTheDefaults) {
+  const ExperimentEnv defaults;
+  const char* counts[] = {"GBIS_GRAPHS_PER_SETTING", "GBIS_STARTS",
+                          "GBIS_THREADS", "GBIS_SEED"};
+  const auto read_count = [](const ExperimentEnv& env,
+                             int knob) -> std::uint64_t {
+    return knob == 0   ? env.graphs_per_setting
+           : knob == 1 ? env.starts
+           : knob == 2 ? env.threads
+                       : env.seed;
+  };
+  for (int knob = 0; knob < 4; ++knob) {
+    ::setenv(counts[knob], "3", 1);
+    EXPECT_EQ(read_count(experiment_env(), knob), 3u) << counts[knob];
+    for (const char* bad : {"-1", "+5", " 7", "1x", "", "99999999999999999999",
+                            "-18446744073709551615"}) {
+      ::setenv(counts[knob], bad, 1);
+      EXPECT_EQ(read_count(experiment_env(), knob), read_count(defaults, knob))
+          << counts[knob] << "=\"" << bad << "\"";
+    }
+    if (knob < 3) {  // the 32-bit counts
+      ::setenv(counts[knob], "4294967296", 1);
+      EXPECT_EQ(read_count(experiment_env(), knob), read_count(defaults, knob))
+          << counts[knob];
+    }
+    ::unsetenv(counts[knob]);
+  }
+
+  const char* numbers[] = {"GBIS_SCALE", "GBIS_SA_LENGTH"};
+  const auto read_number = [](const ExperimentEnv& env, int knob) {
+    return knob == 0 ? env.scale : env.sa_length_factor;
+  };
+  for (int knob = 0; knob < 2; ++knob) {
+    ::setenv(numbers[knob], "0.5", 1);
+    EXPECT_EQ(read_number(experiment_env(), knob), 0.5) << numbers[knob];
+    for (const char* bad :
+         {"inf", "-inf", "nan", "1e999", "0", "-1", "1x", ""}) {
+      ::setenv(numbers[knob], bad, 1);
+      EXPECT_EQ(read_number(experiment_env(), knob),
+                read_number(defaults, knob))
+          << numbers[knob] << "=\"" << bad << "\"";
+    }
+    ::unsetenv(numbers[knob]);
+  }
 }
 
 TEST(Runner, MethodNamesAreUnique) {

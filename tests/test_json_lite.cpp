@@ -499,6 +499,9 @@ TEST(JsonFieldIndex, MatchesTheFreeFunctionsOnMutatedRequests) {
       std::uint64_t u1 = 99, u2 = 99;
       EXPECT_EQ(fields.parse_u64(key, u1), json_parse_u64(line, key, u2));
       EXPECT_EQ(u1, u2);
+      std::int64_t i1 = -99, i2 = -99;
+      EXPECT_EQ(fields.parse_i64(key, i1), json_parse_i64(line, key, i2));
+      EXPECT_EQ(i1, i2);
       double d1 = 9.5, d2 = 9.5;
       EXPECT_EQ(fields.parse_double(key, d1),
                 json_parse_double(line, key, d2));

@@ -207,16 +207,6 @@ TEST(PathOpt, SinglePassReportsItsImprovement) {
   EXPECT_GE(stats.flips_proposed, stats.flips_applied);
 }
 
-TEST(PathOpt, MaxPassesCapsTheLoop) {
-  Rng rng(14);
-  const Graph g = make_gnp(150, 0.05, rng);
-  Bisection b = Bisection::random(g, rng);
-  PathOptOptions options;
-  options.max_passes = 1;
-  const PathOptStats stats = path_opt_refine(b, options);
-  EXPECT_EQ(stats.passes, 1u);
-}
-
 TEST(PathOpt, ExpiredDeadlineThrowsDeadlineExceeded) {
   Rng rng(15);
   const Graph g = make_gnp(200, 0.05, rng);

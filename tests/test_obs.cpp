@@ -597,6 +597,15 @@ TEST(ConvergenceTrace, ParseRejectsMalformedLines) {
           "\"step\":1,\"source\":\"volcano\",\"cut\":3,\"best\":3,"
           "\"aux\":0}"),
       IoError);
+  // A sign on a count, and a key that appears only inside a nested
+  // value: the reader sees top-level JSON members, not substrings.
+  const std::string rest =
+      "\"graph\":0,\"method\":\"KL\",\"start\":0,\"step\":1,"
+      "\"source\":\"kl\",\"cut\":3,\"best\":3,\"aux\":0}";
+  EXPECT_NO_THROW(parse_convergence_line("{\"trial\":0," + rest));
+  EXPECT_THROW(parse_convergence_line("{\"trial\":-1," + rest), IoError);
+  EXPECT_THROW(parse_convergence_line("{\"x\":{\"trial\":0}," + rest),
+               IoError);
 }
 
 // --- Chrome trace ----------------------------------------------------------
@@ -648,7 +657,7 @@ TEST(ChromeTrace, IncludesFailedTrialsWithErrorArgs) {
   config.obs.collect = true;
   const std::vector<TrialSpec> trials =
       enumerate_trial_matrix(1, methods, config.starts);
-  const FaultPlan faults = FaultPlan::parse("throw@trial:0");
+  const FaultPlan faults = FaultPlan::parse("throw@trial:0", kCampaignFaults);
   TrialRunOptions options;
   options.faults = &faults;
   const std::vector<TrialResult> results =
@@ -814,16 +823,14 @@ TEST(Campaign, KillAndResumeReproducesMetricSummaries) {
   RunConfig config = fast_config(2, 1);
   config.obs.collect = true;
   const std::uint64_t seed = 21;
-  const FaultPlan no_faults;
 
   CampaignOptions clean;
-  clean.faults = &no_faults;
   const CampaignResult reference =
       run_campaign(graphs, methods, config, seed, clean);
   ASSERT_EQ(reference.ok, 6u);
 
   const std::string path = temp_path("journal_obs_resume.jsonl");
-  const FaultPlan stop_plan = FaultPlan::parse("stop@trial:2");
+  const FaultPlan stop_plan = FaultPlan::parse("stop@trial:2", kCampaignFaults);
   reset_shutdown();
   CampaignOptions interrupted;
   interrupted.journal_path = path;
@@ -838,7 +845,6 @@ TEST(Campaign, KillAndResumeReproducesMetricSummaries) {
   CampaignOptions resume;
   resume.journal_path = path;
   resume.resume_path = path;
-  resume.faults = &no_faults;
   const CampaignResult resumed =
       run_campaign(graphs, methods, config, seed, resume);
   EXPECT_EQ(resumed.ok, 6u);

@@ -882,7 +882,7 @@ TEST(Service, AccessLogTimingsAreTheSpanSetDurations) {
   const std::string path = testing::TempDir() + "svc_access_spans.jsonl";
   std::remove(path.c_str());
   SvcOptions options = test_options();
-  options.faults = SvcFaultPlan::parse("throw@solve:0");
+  options.faults = FaultPlan::parse("throw@solve:0", kServiceFaults);
   options.access_log_path = path;
   Service service(options);
   std::vector<std::string> out;
@@ -989,6 +989,36 @@ TEST(SvcOptionsEnv, MebibyteKnobsRejectSignsAndByteOverflow) {
     }
     ::unsetenv(knobs[knob]);
   }
+
+  // The count and milliseconds knobs follow the flags' whole-text
+  // rules: no sign or space on a count, nothing past its type, no
+  // suffix, and a finite, non-negative number of milliseconds.
+  const char* counts[] = {"GBIS_SVC_BROWNOUT_WINDOW", "GBIS_SVC_FLIGHT_RING"};
+  const auto read_count = [](const SvcOptions& options, int knob) {
+    return knob == 0 ? options.brownout_window : options.flight_ring;
+  };
+  for (int knob = 0; knob < 2; ++knob) {
+    ::setenv(counts[knob], "4294967295", 1);
+    EXPECT_EQ(read_count(svc_options_from_env(SvcOptions{}), knob),
+              4294967295u);
+    for (const char* bad : {"-1", "+5", " 7", "1x", "", "0", "4294967296",
+                            "-18446744073709551615",
+                            "99999999999999999999"}) {
+      ::setenv(counts[knob], bad, 1);
+      EXPECT_EQ(read_count(svc_options_from_env(SvcOptions{}), knob),
+                read_count(defaults, knob))
+          << counts[knob] << "=\"" << bad << "\"";
+    }
+    ::unsetenv(counts[knob]);
+  }
+  ::setenv("GBIS_SVC_SLOW_MS", "2.5", 1);
+  EXPECT_EQ(svc_options_from_env(SvcOptions{}).slow_ms, 2.5);
+  for (const char* bad : {"inf", "-inf", "nan", "1e999", "-1", "1x", ""}) {
+    ::setenv("GBIS_SVC_SLOW_MS", bad, 1);
+    EXPECT_EQ(svc_options_from_env(SvcOptions{}).slow_ms, defaults.slow_ms)
+        << "GBIS_SVC_SLOW_MS=\"" << bad << "\"";
+  }
+  ::unsetenv("GBIS_SVC_SLOW_MS");
 }
 
 TEST(Service, UnopenableAccessLogReportsNotOk) {
@@ -1812,19 +1842,21 @@ TEST(Service, UnopenableCacheJournalReportsNotOk) {
 // --- Service-scoped fault injection (GBIS_SVC_FAULTS) ----------------------
 
 TEST(SvcFaultPlan, ParsesTheGrammarAndRejectsMalformedSpecs) {
-  const SvcFaultPlan plan =
-      SvcFaultPlan::parse("throw@req:0,oom@solve:1,hang@solve:3,crash@batch:2");
+  const FaultPlan plan = FaultPlan::parse(
+      "throw@req:0,oom@solve:1,hang@solve:3,crash@batch:2", kServiceFaults);
   EXPECT_EQ(plan.size(), 4u);
-  EXPECT_EQ(plan.at(SvcFaultSite::kReq, 0), SvcFaultKind::kThrow);
-  EXPECT_EQ(plan.at(SvcFaultSite::kSolve, 1), SvcFaultKind::kOom);
-  EXPECT_EQ(plan.at(SvcFaultSite::kSolve, 3), SvcFaultKind::kHang);
-  EXPECT_EQ(plan.at(SvcFaultSite::kBatch, 2), SvcFaultKind::kCrash);
-  EXPECT_EQ(plan.at(SvcFaultSite::kReq, 1), SvcFaultKind::kNone);
-  EXPECT_TRUE(SvcFaultPlan::parse("").empty());
+  EXPECT_EQ(plan.at(FaultSite::kReq, 0), FaultKind::kThrow);
+  EXPECT_EQ(plan.at(FaultSite::kSolve, 1), FaultKind::kOom);
+  EXPECT_EQ(plan.at(FaultSite::kSolve, 3), FaultKind::kHang);
+  EXPECT_EQ(plan.at(FaultSite::kBatch, 2), FaultKind::kCrash);
+  EXPECT_EQ(plan.at(FaultSite::kReq, 1), FaultKind::kNone);
+  EXPECT_TRUE(FaultPlan::parse("", kServiceFaults).empty());
   for (const char* bad :
        {"stop@req:0", "throw@trial:0", "throw@req", "throw@req:x",
         "throw@req:0,bogus", "@req:0", "  "}) {
-    EXPECT_THROW(SvcFaultPlan::parse(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(FaultPlan::parse(bad, kServiceFaults),
+                 std::invalid_argument)
+        << bad;
   }
 }
 
@@ -1832,7 +1864,7 @@ TEST(Service, InjectedThrowAnswersTheStableInternalReason) {
   const std::string log_path = temp_journal("svc_fault_throw.jsonl");
   const Graph g = make_grid(6, 6);
   SvcOptions options = test_options();
-  options.faults = SvcFaultPlan::parse("throw@solve:0");
+  options.faults = FaultPlan::parse("throw@solve:0", kServiceFaults);
   options.access_log_path = log_path;
   // Distinct seed: a separate solve identity, so it runs as its own
   // cold solve (ordinal 1) instead of coalescing with the faulted one.
@@ -1856,7 +1888,7 @@ TEST(Service, InjectedThrowAnswersTheStableInternalReason) {
 TEST(Service, InjectedOomMapsToTheOutOfMemoryReason) {
   const Graph g = make_grid(6, 6);
   SvcOptions options = test_options();
-  options.faults = SvcFaultPlan::parse("oom@solve:0");
+  options.faults = FaultPlan::parse("oom@solve:0", kServiceFaults);
   const auto out = run_sequence(options, {solve_line("m", g)});
   ASSERT_EQ(out.size(), 1u);
   std::string error;
@@ -1867,7 +1899,7 @@ TEST(Service, InjectedOomMapsToTheOutOfMemoryReason) {
 TEST(Service, InjectedHangIsBoundedByTheRequestDeadline) {
   const Graph g = make_grid(6, 6);
   SvcOptions options = test_options();
-  options.faults = SvcFaultPlan::parse("hang@solve:0");
+  options.faults = FaultPlan::parse("hang@solve:0", kServiceFaults);
   const auto out = run_sequence(
       options, {solve_line("h", g, ",\"deadline_s\":0.05")});
   ASSERT_EQ(out.size(), 1u);
@@ -1880,7 +1912,7 @@ TEST(Service, ReqSiteFaultsKeyOnTheRequestSequence) {
   const Graph grid = make_grid(6, 6);
   const Graph ladder = make_ladder(9);
   SvcOptions options = test_options();
-  options.faults = SvcFaultPlan::parse("throw@req:1");
+  options.faults = FaultPlan::parse("throw@req:1", kServiceFaults);
   // Request seq 1 is the second line; seq 0 solves untouched.
   const auto out = run_sequence(
       options, {solve_line("a", grid), solve_line("b", ladder)});
@@ -2080,8 +2112,8 @@ TEST(SvcOptionsEnv, OverlaysTheRobustnessKnobs) {
   SvcOptions options = svc_options_from_env(SvcOptions{});
   EXPECT_EQ(options.cache_file, "/tmp/journal.jsonl");
   EXPECT_EQ(options.faults.size(), 2u);
-  EXPECT_EQ(options.faults.at(SvcFaultSite::kBatch, 1),
-            SvcFaultKind::kCrash);
+  EXPECT_EQ(options.faults.at(FaultSite::kBatch, 1),
+            FaultKind::kCrash);
   EXPECT_FALSE(options.brownout);
   EXPECT_EQ(options.brownout_window, 16u);
 
@@ -2457,8 +2489,8 @@ TEST(Service, CoalescedFollowerTakesItsLeadersOutcome) {
         temp_journal("svc_coalesced_" + std::to_string(run) + ".jsonl");
     SvcOptions options = test_options(run == 0 ? 1 : 4);
     options.batch_size = 100;  // batches are cut by hand below
-    options.faults =
-        SvcFaultPlan::parse("throw@solve:0,oom@solve:1,hang@solve:2");
+    options.faults = FaultPlan::parse(
+        "throw@solve:0,oom@solve:1,hang@solve:2", kServiceFaults);
     options.access_log_path = log_path;
     Service service(options);
     std::vector<std::string>& out = streams[run];

@@ -33,9 +33,6 @@
 // Exit codes: 0 success, 1 internal error, 2 usage error, 3 I/O error,
 // 130 interrupted (SIGINT/SIGTERM; campaigns journal first). All
 // diagnostics go to stderr; stdout carries only results.
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -54,6 +51,7 @@
 #include "gbis/graph/analysis.hpp"
 #include "gbis/graph/ops.hpp"
 #include "gbis/harness/checkpoint.hpp"
+#include "gbis/harness/fault_injection.hpp"
 #include "gbis/harness/runner.hpp"
 #include "gbis/harness/shutdown.hpp"
 #include "gbis/harness/table.hpp"
@@ -74,6 +72,7 @@
 #include "gbis/rng/rng.hpp"
 #include "gbis/svc/listener.hpp"
 #include "gbis/svc/scheduler.hpp"
+#include "gbis/util/env.hpp"
 #include "gbis/util/json_lite.hpp"
 
 #include <fstream>
@@ -209,8 +208,10 @@ void print_help(std::ostream& out) {
          "       flushes its journal first and prints a --resume hint\n"
          "\n"
          "Diagnostics go to stderr; stdout carries only results.\n"
-         "GBIS_FAULTS=kind@trial:ID[,...] injects deterministic faults\n"
-         "into campaign trials (kinds: throw, hang, stop) — see\n"
+         "Deterministic fault injection takes one grammar,\n"
+         "kind@site:N[,...]: GBIS_FAULTS for campaigns (kinds throw,\n"
+         "hang, stop; site trial) and GBIS_SVC_FAULTS for serve (kinds\n"
+         "throw, hang, oom, crash; sites req, solve, batch) — see\n"
          "docs/ROBUSTNESS.md. GBIS_METRICS, GBIS_TRACE_DIR, and\n"
          "GBIS_PROGRESS=1 are the environment forms of --metrics,\n"
          "--trace-dir, and --progress (flags win); GBIS_SVC_CACHE_MB,\n"
@@ -218,10 +219,10 @@ void print_help(std::ostream& out) {
          "GBIS_SVC_BROWNOUT, GBIS_SVC_BROWNOUT_WINDOW, GBIS_SVC_GRAPH_MB,\n"
          "GBIS_SVC_WARM, GBIS_SVC_QUALITY, GBIS_SVC_FLIGHT,\n"
          "GBIS_SVC_FLIGHT_RING, and GBIS_SVC_ACCESS_LOG_MAX_MB do the same\n"
-         "for the serve flags; GBIS_SVC_FAULTS=kind@site:N[,...] injects\n"
-         "service-scoped faults (kinds: throw, hang, oom, crash; sites:\n"
-         "req, solve, batch) — see docs/OBSERVABILITY.md,\n"
-         "docs/SERVICE.md, docs/ROBUSTNESS.md, and the README env-var\n"
+         "for the serve flags. Numbers in GBIS_* variables follow the\n"
+         "flags' rules, but a malformed one warns and keeps its default\n"
+         "(serve's GBIS_THREADS exits 2 like --threads) — see\n"
+         "docs/OBSERVABILITY.md, docs/SERVICE.md, and the README env-var\n"
          "table.\n";
 }
 
@@ -254,28 +255,22 @@ void save_graph(const std::string& path, const Graph& g) {
   }
 }
 
-// Numeric arguments must be whole: empty text, trailing text, a sign on
-// an unsigned value, a value past the target type and a non-finite
-// double are all usage errors.
+// Numeric arguments must be whole (util/env's rules): empty text,
+// trailing text, a sign on an unsigned value, a value past the target
+// type and a non-finite double are all usage errors.
 [[noreturn]] void bad_number(const std::string& s) {
   std::cerr << "gbis: malformed number \"" << s << "\"\n";
   usage();
 }
 
 double to_double(const std::string& s) {
-  char* end = nullptr;
-  const double value = std::strtod(s.c_str(), &end);
-  if (s.empty() || *end != '\0' || !std::isfinite(value)) bad_number(s);
+  double value = 0;
+  if (!parse_whole_double(s.c_str(), value)) bad_number(s);
   return value;
 }
 std::uint64_t to_u64(const std::string& s) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(s.c_str(), &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(s.c_str()[0])) == 0 ||
-      *end != '\0' || errno == ERANGE) {
-    bad_number(s);
-  }
+  std::uint64_t value = 0;
+  if (!parse_whole_u64(s.c_str(), value)) bad_number(s);
   return value;
 }
 std::uint32_t to_u32(const std::string& s) {
@@ -450,6 +445,8 @@ int cmd_campaign(const std::vector<std::string>& args, std::uint64_t seed,
     graph_names.push_back(positional[i]);
   }
 
+  const FaultPlan faults = FaultPlan::from_env("GBIS_FAULTS", kCampaignFaults);
+  options.faults = &faults;
   install_shutdown_handlers();
   options.stop = &shutdown_flag();
 
@@ -560,6 +557,18 @@ int cmd_convert(const std::vector<std::string>& args) {
   save_graph(args[1], load_graph(args[0]));
   std::cout << "converted " << args[0] << " -> " << args[1] << '\n';
   return kExitOk;
+}
+
+/// How a serve response line counts for --progress: ok, shed
+/// ("rejected:" reasons) or failed.
+ProgressOutcome response_outcome(const std::string& line) {
+  bool ok = false;
+  json_parse_bool(line, "ok", ok);
+  if (ok) return ProgressOutcome::kOk;
+  std::string error;
+  json_parse_string(line, "error", error);
+  return error.starts_with("rejected:") ? ProgressOutcome::kSkipped
+                                        : ProgressOutcome::kFailed;
 }
 
 int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
@@ -730,19 +739,7 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
   const auto emit = [&responses, &meter]() {
     for (const std::string& line : responses) {
       std::cout << line << '\n';
-      if (meter != nullptr) {
-        bool ok = false;
-        json_parse_bool(line, "ok", ok);
-        if (ok) {
-          meter->record(ProgressOutcome::kOk);
-        } else {
-          std::string error;
-          json_parse_string(line, "error", error);
-          meter->record(error.rfind("rejected:", 0) == 0
-                            ? ProgressOutcome::kSkipped
-                            : ProgressOutcome::kFailed);
-        }
-      }
+      if (meter != nullptr) meter->record(response_outcome(line));
     }
     if (!responses.empty()) std::cout.flush();
     responses.clear();
@@ -755,17 +752,7 @@ int cmd_serve(const std::vector<std::string>& args, std::uint64_t seed,
     if (meter != nullptr) {
       ProgressMeter* raw_meter = meter.get();
       listen.on_response = [raw_meter](const std::string& response) {
-        bool ok = false;
-        json_parse_bool(response, "ok", ok);
-        if (ok) {
-          raw_meter->record(ProgressOutcome::kOk);
-        } else {
-          std::string error;
-          json_parse_string(response, "error", error);
-          raw_meter->record(error.rfind("rejected:", 0) == 0
-                                ? ProgressOutcome::kSkipped
-                                : ProgressOutcome::kFailed);
-        }
+        raw_meter->record(response_outcome(response));
       };
     }
     Listener listener(service, listen);

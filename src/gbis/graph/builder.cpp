@@ -17,6 +17,17 @@ void add_within_limit(Weight& total, Weight w, const char* what) {
   total += w;
 }
 
+/// Stable counting sort of `from` into `to` (of the same size) by
+/// key(e), a vertex id below n.
+template <typename Key>
+void counting_sort(const std::vector<Edge>& from, std::vector<Edge>& to,
+                   std::uint32_t n, Key key) {
+  std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
+  for (const Edge& e : from) ++start[key(e) + std::size_t{1}];
+  for (std::uint32_t k = 0; k < n; ++k) start[k + 1] += start[k];
+  for (const Edge& e : from) to[start[key(e)]++] = e;
+}
+
 }  // namespace
 
 GraphBuilder::GraphBuilder(std::uint32_t num_vertices, SelfLoops self_loops)
@@ -66,10 +77,14 @@ Graph GraphBuilder::build() {
     add_within_limit(total_vertex_weight, w, "vertex");
   }
 
-  std::sort(staged_.begin(), staged_.end(),
-            [](const Edge& a, const Edge& b) {
-              return a.u != b.u ? a.u < b.u : a.v < b.v;
-            });
+  // Sort by (u, v) in O(|V| + |E|): a stable counting pass by v, then
+  // one by u, which keeps each u's edges in ascending v order. The
+  // scratch copy is freed before the CSR arrays are allocated.
+  {
+    std::vector<Edge> by_v(staged_.size());
+    counting_sort(staged_, by_v, n, [](const Edge& e) { return e.v; });
+    counting_sort(by_v, staged_, n, [](const Edge& e) { return e.u; });
+  }
   // Merge parallel edges by summing weights.
   std::size_t out = 0;
   for (std::size_t i = 0; i < staged_.size(); ++i) {

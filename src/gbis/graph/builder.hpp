@@ -40,15 +40,16 @@ class GraphBuilder {
   /// Sets the weight of a vertex (must be positive).
   void set_vertex_weight(Vertex v, Weight weight);
 
-  /// Builds the immutable graph. The builder is left empty. Throws
+  /// Builds the immutable graph in O(|V| + |E|), whatever order the
+  /// edges were added in. The builder is left empty. Throws
   /// std::invalid_argument ("total edge weight exceeds the 2^60
   /// limit", or the same for vertex weight) when the graph would break
   /// the kMaxTotalWeight limit; the builder is then left as it was.
   Graph build();
 
  private:
-  // Each undirected edge staged once, normalized to u < v; sorted and
-  // merged at build time.
+  // Each undirected edge staged once, normalized to u < v; sorted by
+  // counting and merged at build time.
   std::vector<Edge> staged_;
   std::vector<Weight> vertex_weights_;
   SelfLoops self_loops_;

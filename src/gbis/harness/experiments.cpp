@@ -27,12 +27,13 @@ namespace gbis {
 
 namespace {
 
-/// A positive number from `name`; unset or rejected keeps `fallback`.
-double env_positive(const char* name, double fallback) {
+/// A number in (0, max] from `name`; unset or rejected keeps
+/// `fallback`.
+double env_positive(const char* name, double fallback, double max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr) return fallback;
   double value = 0;
-  if (!parse_whole_double(raw, value) || !(value > 0.0)) {
+  if (!parse_whole_double(raw, value) || !(value > 0.0) || value > max) {
     warn_rejected(name, raw);
     return fallback;
   }
@@ -174,14 +175,14 @@ struct SweepImprovement {
 
 ExperimentEnv experiment_env() {
   ExperimentEnv env;
-  env.scale = env_positive("GBIS_SCALE", env.scale);
+  env.scale = env_positive("GBIS_SCALE", env.scale, kMaxScale);
   env.graphs_per_setting =
       env_u32("GBIS_GRAPHS_PER_SETTING", env.graphs_per_setting);
   env.starts = std::max<std::uint32_t>(1, env_u32("GBIS_STARTS", env.starts));
   env.seed = env_u64("GBIS_SEED", 0, UINT64_MAX).value_or(env.seed);
   env.threads = env_u32("GBIS_THREADS", env.threads);
   env.sa_length_factor =
-      env_positive("GBIS_SA_LENGTH", env.sa_length_factor);
+      env_positive("GBIS_SA_LENGTH", env.sa_length_factor, kMaxSaLength);
   if (const char* dir = std::getenv("GBIS_CSV_DIR"); dir != nullptr) {
     env.csv_dir = dir;
   }

@@ -17,16 +17,26 @@
 
 namespace gbis {
 
+/// The largest GBIS_SCALE: the largest table size (5000 vertices) times
+/// it stays below 2^32, so every scaled vertex count is a Vertex.
+inline constexpr double kMaxScale = 1e5;
+
+/// The largest GBIS_SA_LENGTH: it times 2^32 vertices stays below
+/// 2^64, so SA's moves per temperature fit their 64-bit count.
+inline constexpr double kMaxSaLength = 1e6;
+
 /// Environment-controlled experiment knobs (read once per process):
-///   GBIS_SCALE               float, default 1.0 — multiplies instance sizes
+///   GBIS_SCALE               float in (0, kMaxScale], default 1.0 —
+///                            multiplies instance sizes
 ///   GBIS_GRAPHS_PER_SETTING  int, default 0 = per-table default (3)
 ///   GBIS_STARTS              int, default 2 (the paper's best-of-two)
 ///   GBIS_SEED                uint64, default 19890625
 ///   GBIS_THREADS             int, default 0 = hardware concurrency —
 ///                            trial-runner worker count; cut columns are
 ///                            bit-identical for every value
-///   GBIS_SA_LENGTH           float, default 8.0 — SA moves per temperature
-///                            per vertex (Johnson et al. used 16; 8 keeps
+///   GBIS_SA_LENGTH           float in (0, kMaxSaLength], default 8.0 —
+///                            SA moves per temperature per vertex
+///                            (Johnson et al. used 16; 8 keeps
 ///                            full-suite runtimes manageable with
 ///                            indistinguishable cuts on these families)
 ///   GBIS_CSV_DIR             directory; when set, every appendix-table

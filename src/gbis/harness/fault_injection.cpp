@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "gbis/harness/shutdown.hpp"
+#include "gbis/util/env.hpp"
 
 namespace gbis {
 
@@ -32,8 +33,10 @@ const char* fault_site_name(FaultSite site) {
 FaultPlan FaultPlan::parse(const std::string& spec,
                            const FaultGrammar& grammar) {
   FaultPlan plan;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
+  if (spec.empty()) return plan;
+  // Every comma separates two entries, so an empty entry (a leading,
+  // doubled or trailing comma) is malformed like any other.
+  for (std::size_t pos = 0; pos <= spec.size();) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string entry = spec.substr(pos, comma - pos);
@@ -60,12 +63,8 @@ FaultPlan FaultPlan::parse(const std::string& spec,
       throw bad();
     }
 
-    const std::string id_text = entry.substr(colon + 1);
-    if (id_text.empty() ||
-        id_text.find_first_not_of("0123456789") != std::string::npos) {
-      throw bad();
-    }
-    const std::uint64_t id = std::strtoull(id_text.c_str(), nullptr, 10);
+    std::uint64_t id = 0;
+    if (!parse_whole_u64(entry.c_str() + colon + 1, id)) throw bad();
     plan.by_site_[{static_cast<FaultSite>(site), id}] =
         static_cast<FaultKind>(kind);
   }

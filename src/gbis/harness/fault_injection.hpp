@@ -9,7 +9,10 @@
 //
 //   spec    := entry ("," entry)*
 //   entry   := kind "@" site ":" ordinal
-//   ordinal := unsigned decimal
+//   ordinal := unsigned decimal below 2^64
+//
+// No entry may be empty, so a leading, doubled or trailing comma is
+// malformed; only the empty spec itself is valid (no faults).
 //
 // e.g.  GBIS_FAULTS=throw@trial:17,hang@trial:23
 //       GBIS_SVC_FAULTS=throw@req:3,crash@batch:2

@@ -376,7 +376,10 @@ bool parse_u64_array_at(const std::string& line, std::size_t i,
     // floats, exponents), then the bounded-range decode.
     const std::size_t end = skip_number_strict(line, i);
     if (end == npos || line[i] == '-') return false;
-    if (line.find_first_of(".eE", i) < end) return false;
+    if (std::string_view(line).substr(i, end - i).find_first_of(".eE") !=
+        std::string_view::npos) {
+      return false;
+    }
     if (result.size() >= max_elements) return false;
     errno = 0;
     char* parse_end = nullptr;

@@ -3,20 +3,29 @@
 // fingerprint lineage DAG (dyn/lineage), and the warm-start pipeline
 // (dyn/warm). The service-level behavior of the `mutate` op lives in
 // test_svc.cpp; this file pins the layer underneath it.
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gbis/core/contract.hpp"
+#include "gbis/core/matching.hpp"
 #include "gbis/dyn/graph_store.hpp"
 #include "gbis/dyn/lineage.hpp"
 #include "gbis/dyn/mutation.hpp"
 #include "gbis/dyn/warm.hpp"
+#include "gbis/gen/gnp.hpp"
+#include "gbis/gen/regular_planted.hpp"
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/partition/bisection.hpp"
+#include "gbis/rng/rng.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/util/deadline.hpp"
 
@@ -180,6 +189,183 @@ TEST(Mutation, BatchHashIsOrderAndFieldSensitive) {
   c.del_edges = {0, 1, 2, 3};
   EXPECT_NE(a.hash(), c.hash());
   EXPECT_EQ(a.hash(), MutationBatch{a}.hash());
+}
+
+// --- Model check: edit chains against a rebuild from scratch --------------
+
+using EdgeKey = std::pair<Vertex, Vertex>;  // u < v
+
+EdgeKey key_of(Vertex u, Vertex v) { return {std::min(u, v), std::max(u, v)}; }
+
+/// A graph as the model sees it: an edge set with weights and the
+/// vertex weights, kept apart from the CSR and apply_mutation.
+struct GraphModel {
+  std::map<EdgeKey, Weight> edges;
+  std::vector<Weight> vertex_weights;
+};
+
+GraphModel model_of(const Graph& g) {
+  GraphModel model;
+  for (const Edge& e : g.edges()) model.edges[{e.u, e.v}] = e.weight;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    model.vertex_weights.push_back(g.vertex_weight(v));
+  }
+  return model;
+}
+
+/// The model's graph built from scratch: its edges shuffled and each
+/// added in a random orientation.
+Graph rebuild(const GraphModel& model, Rng& rng) {
+  std::vector<Edge> edges;
+  for (const auto& [key, weight] : model.edges) {
+    edges.push_back({key.first, key.second, weight});
+  }
+  rng.shuffle(edges);
+  GraphBuilder builder(static_cast<Vertex>(model.vertex_weights.size()));
+  for (const Edge& e : edges) {
+    if (rng.below(2) == 0) {
+      builder.add_edge(e.u, e.v, e.weight);
+    } else {
+      builder.add_edge(e.v, e.u, e.weight);
+    }
+  }
+  for (Vertex v = 0; v < model.vertex_weights.size(); ++v) {
+    builder.set_vertex_weight(v, model.vertex_weights[v]);
+  }
+  return builder.build();
+}
+
+/// A random valid batch over `model`: up to 3 new vertices; edge adds,
+/// some of them to the new vertices; deletes of existing edges and
+/// sometimes of one the batch itself added; and up to 2 deletes of
+/// vertices that have edges. Edges appear in either orientation.
+MutationBatch random_batch(const GraphModel& model, Rng& rng) {
+  const auto n = static_cast<Vertex>(model.vertex_weights.size());
+  MutationBatch batch;
+  batch.add_vertices = rng.below(4);
+  const Vertex extended = n + static_cast<Vertex>(batch.add_vertices);
+  const auto push = [&rng](std::vector<std::uint64_t>& list, EdgeKey key) {
+    if (rng.below(2) == 0) std::swap(key.first, key.second);
+    list.push_back(key.first);
+    list.push_back(key.second);
+  };
+
+  std::vector<EdgeKey> added;
+  const std::uint64_t want_adds = 1 + rng.below(8);
+  for (int tries = 0; added.size() < want_adds && tries < 200; ++tries) {
+    const Vertex u = static_cast<Vertex>(rng.below(extended));
+    const Vertex v =
+        batch.add_vertices > 0 && tries % 3 == 0
+            ? n + static_cast<Vertex>(rng.below(batch.add_vertices))
+            : static_cast<Vertex>(rng.below(extended));
+    const EdgeKey key = key_of(u, v);
+    if (u == v || model.edges.count(key) != 0 ||
+        std::find(added.begin(), added.end(), key) != added.end()) {
+      continue;
+    }
+    added.push_back(key);
+    push(batch.add_edges, key);
+  }
+
+  std::vector<EdgeKey> deletes;
+  for (const auto& [key, weight] : model.edges) deletes.push_back(key);
+  rng.shuffle(deletes);
+  deletes.resize(std::min<std::size_t>(deletes.size(), rng.below(6)));
+  if (!added.empty() && rng.below(2) == 0) {
+    deletes.push_back(added[rng.below(added.size())]);
+  }
+  rng.shuffle(deletes);
+  for (const EdgeKey& key : deletes) push(batch.del_edges, key);
+
+  // Endpoints of edges that survive the edge edits, so every deleted
+  // vertex takes edges with it.
+  std::vector<EdgeKey> edited = added;
+  for (const auto& [key, weight] : model.edges) edited.push_back(key);
+  std::set<Vertex> with_edges;
+  for (const EdgeKey& key : edited) {
+    if (std::find(deletes.begin(), deletes.end(), key) == deletes.end()) {
+      with_edges.insert(key.first);
+      with_edges.insert(key.second);
+    }
+  }
+  std::vector<Vertex> candidates(with_edges.begin(), with_edges.end());
+  rng.shuffle(candidates);
+  candidates.resize(std::min<std::size_t>(candidates.size(), rng.below(3)));
+  batch.del_vertices.assign(candidates.begin(), candidates.end());
+  return batch;
+}
+
+/// Applies `batch` to the model by the documented rules (vertex adds,
+/// edge adds, edge deletes, vertex deletes with compact ascending
+/// renumbering) and returns the extended-id -> new-id map.
+std::vector<Vertex> apply_to_model(GraphModel& model,
+                                   const MutationBatch& batch) {
+  model.vertex_weights.resize(
+      model.vertex_weights.size() + batch.add_vertices, 1);
+  for (std::size_t i = 0; i < batch.add_edges.size(); i += 2) {
+    model.edges[key_of(static_cast<Vertex>(batch.add_edges[i]),
+                       static_cast<Vertex>(batch.add_edges[i + 1]))] = 1;
+  }
+  for (std::size_t i = 0; i < batch.del_edges.size(); i += 2) {
+    model.edges.erase(key_of(static_cast<Vertex>(batch.del_edges[i]),
+                             static_cast<Vertex>(batch.del_edges[i + 1])));
+  }
+  const std::set<std::uint64_t> dead(batch.del_vertices.begin(),
+                                     batch.del_vertices.end());
+  std::vector<Vertex> map(model.vertex_weights.size(), kDeletedVertex);
+  GraphModel next;
+  for (Vertex v = 0; v < map.size(); ++v) {
+    if (dead.count(v) != 0) continue;
+    map[v] = static_cast<Vertex>(next.vertex_weights.size());
+    next.vertex_weights.push_back(model.vertex_weights[v]);
+  }
+  for (const auto& [key, weight] : model.edges) {
+    if (map[key.first] != kDeletedVertex && map[key.second] != kDeletedVertex) {
+      next.edges[key_of(map[key.first], map[key.second])] = weight;
+    }
+  }
+  model = std::move(next);
+  return map;
+}
+
+TEST(Mutation, ChainsMatchARebuildFromScratch) {
+  Rng rng(9);
+  const Graph gnp = make_gnp(120, gnp_p_for_degree(120, 4.0), rng);
+  const Graph gbreg = make_regular_planted({120, 8, 3}, rng);
+  const Graph ladder = make_ladder(40);
+  // A coarse level, so vertex and edge weights are not all 1.
+  const Graph coarse =
+      contract_matching(gnp, maximal_matching(gnp, rng), rng).coarse;
+  ASSERT_GT(coarse.total_vertex_weight(), coarse.num_vertices());
+
+  const Graph* starts[] = {&gnp, &gbreg, &ladder, &coarse};
+  int vertex_deletes = 0, self_cancels = 0;
+  for (std::size_t s = 0; s < std::size(starts); ++s) {
+    Graph graph = *starts[s];
+    GraphModel model = model_of(graph);
+    for (int step = 0; step < 8; ++step) {
+      SCOPED_TRACE("start " + std::to_string(s) + " step " +
+                   std::to_string(step));
+      const MutationBatch batch = random_batch(model, rng);
+      vertex_deletes += static_cast<int>(batch.del_vertices.size());
+      for (std::size_t i = 0; i < batch.del_edges.size(); i += 2) {
+        const EdgeKey key =
+            key_of(static_cast<Vertex>(batch.del_edges[i]),
+                   static_cast<Vertex>(batch.del_edges[i + 1]));
+        self_cancels += model.edges.count(key) == 0 ? 1 : 0;
+      }
+      const MutationResult result = apply_mutation(graph, batch);
+      const std::vector<Vertex> map = apply_to_model(model, batch);
+      ASSERT_EQ(result.map, map);
+      ASSERT_EQ(result.child.num_edges(), model.edges.size());
+      ASSERT_EQ(graph_fingerprint(result.child),
+                graph_fingerprint(rebuild(model, rng)));
+      graph = result.child;
+    }
+  }
+  // The chains reached both edits the model renumbers or cancels.
+  EXPECT_GT(vertex_deletes, 0);
+  EXPECT_GT(self_cancels, 0);
 }
 
 // --- GraphStore ------------------------------------------------------------

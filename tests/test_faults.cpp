@@ -120,6 +120,14 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("throw@trial:3,,", kCampaignFaults),
                std::invalid_argument);
+  // No entry may be empty, wherever the comma is, and an ordinal past
+  // 64 bits is malformed rather than saturated.
+  for (const char* bad : {",throw@trial:0", "throw@trial:0,",
+                          "throw@trial:99999999999999999999999"}) {
+    EXPECT_THROW(FaultPlan::parse(bad, kCampaignFaults),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 // Generated over every FaultKind x FaultSite pair, so a kind or site

@@ -158,13 +158,18 @@ TEST(ExperimentEnv, MalformedNumbersKeepTheDefaults) {
   for (int knob = 0; knob < 2; ++knob) {
     ::setenv(numbers[knob], "0.5", 1);
     EXPECT_EQ(read_number(experiment_env(), knob), 0.5) << numbers[knob];
-    for (const char* bad :
-         {"inf", "-inf", "nan", "1e999", "0", "-1", "1x", ""}) {
+    // 1e12 and 1e300 are finite but past each knob's largest value,
+    // where a size or move count would leave its integer type.
+    for (const char* bad : {"inf", "-inf", "nan", "1e999", "0", "-1", "1x",
+                            "", "1e12", "1e300"}) {
       ::setenv(numbers[knob], bad, 1);
       EXPECT_EQ(read_number(experiment_env(), knob),
                 read_number(defaults, knob))
           << numbers[knob] << "=\"" << bad << "\"";
     }
+    const double largest = knob == 0 ? kMaxScale : kMaxSaLength;
+    ::setenv(numbers[knob], std::to_string(largest).c_str(), 1);
+    EXPECT_EQ(read_number(experiment_env(), knob), largest) << numbers[knob];
     ::unsetenv(numbers[knob]);
   }
 }

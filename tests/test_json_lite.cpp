@@ -4,6 +4,7 @@
 // a naive substring key search matching inside string values, strtoull
 // wraparound accepting negative budgets, and \u escapes silently
 // truncating or embedding NUL bytes.
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "gbis/rng/rng.hpp"
+#include "gbis/svc/protocol.hpp"
 #include "gbis/util/json_lite.hpp"
 
 namespace gbis {
@@ -287,6 +289,59 @@ TEST(JsonArray, MalformedArraysFailWithOutputUntouched) {
     EXPECT_FALSE(json_parse_u64_array(line, "a", out, 8)) << line;
     EXPECT_EQ(out, (std::vector<std::uint64_t>{99})) << line;
   }
+}
+
+TEST(JsonArray, FloatTestStaysInsideTheElement) {
+  // A '.', 'e' or 'E' later on the line (a key, a string, another
+  // number) belongs to another token and changes nothing.
+  const char* accepted[] = {
+      R"({"a":[1,2],"del_edges":[3]})",
+      R"({"a":[1, 2 ],"b":1.5})",
+      R"({"a":[7],"c":"E.e"})",
+      R"({"a":[0,9],"d":2e3,"E":1})",
+  };
+  for (const char* line : accepted) {
+    std::vector<std::uint64_t> out;
+    EXPECT_TRUE(json_parse_u64_array(line, "a", out, 8)) << line;
+  }
+  // One inside an element is still rejected, wherever it sits.
+  const char* rejected[] = {
+      R"({"a":[1,2.0],"e":1})",
+      R"({"a":[1e2,3]})",
+      R"({"a":[4,7E1],"b":"x"})",
+      R"({"a":[5.5]})",
+  };
+  for (const char* line : rejected) {
+    std::vector<std::uint64_t> out{99};
+    EXPECT_FALSE(json_parse_u64_array(line, "a", out, 8)) << line;
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{99})) << line;
+  }
+}
+
+TEST(JsonArray, LongMutateLineParsesInLinearTime) {
+  // Two 2^15-element edit arrays (about 330 KB) followed by keys that
+  // hold an 'e'. A float test that scanned on past each element to the
+  // next '.', 'e' or 'E' of the line made this parse quadratic.
+  std::string add = "[", del = "[";
+  for (std::uint32_t i = 0; i < (1u << 15); ++i) {
+    const std::string sep = i == 0 ? "" : ",";
+    add += sep + std::to_string(i % 10000);
+    del += sep + std::to_string((i * 7) % 10000);
+  }
+  const std::string line = R"({"op":"mutate","add_edges":)" + add +
+                           "]," + R"("del_edges":)" + del +
+                           R"(],"parent":"00000000deadbeef","id":"e.E"})";
+  ASSERT_GT(line.size(), 300000u);
+  SvcRequest request;
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(parse_request(line, request, error)) << error;
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(request.batch.add_edges.size(), 1u << 15);
+  EXPECT_EQ(request.batch.del_edges.size(), 1u << 15);
+  EXPECT_EQ(request.batch.del_edges[1], 7u);
+  EXPECT_LT(took.count(), 1.0);
 }
 
 TEST(JsonArray, OnlyTopLevelKeysMatch) {

@@ -1853,7 +1853,8 @@ TEST(SvcFaultPlan, ParsesTheGrammarAndRejectsMalformedSpecs) {
   EXPECT_TRUE(FaultPlan::parse("", kServiceFaults).empty());
   for (const char* bad :
        {"stop@req:0", "throw@trial:0", "throw@req", "throw@req:x",
-        "throw@req:0,bogus", "@req:0", "  "}) {
+        "throw@req:0,bogus", "@req:0", "  ", ",throw@req:0", "throw@req:0,",
+        "throw@req:99999999999999999999999"}) {
     EXPECT_THROW(FaultPlan::parse(bad, kServiceFaults),
                  std::invalid_argument)
         << bad;

@@ -7,22 +7,25 @@
 #include "gbis/obs/metrics.hpp"
 #include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
+#include "gbis/partition/refine_workspace.hpp"
 
 namespace gbis {
 
 namespace {
 
-/// One FM pass. Returns the cut improvement (>= 0).
-Weight fm_pass(Bisection& bisection, const FmOptions& options,
-               FmStats* stats) {
+/// One FM pass on the refine's workspace. Returns the cut improvement
+/// (>= 0).
+Weight fm_pass(Bisection& bisection, RefineWorkspace& ws,
+               const FmOptions& options, FmStats* stats) {
   const Graph& g = bisection.graph();
   const std::uint32_t n = g.num_vertices();
   if (n < 2) return 0;
 
-  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
-  std::vector<Weight> gains = all_gains(bisection);
-  std::vector<std::uint8_t> sides(bisection.sides().begin(),
-                                  bisection.sides().end());
+  ws.begin_pass();
+  ws.sides.assign(bisection.sides().begin(), bisection.sides().end());
+  GainBuckets& buckets = ws.buckets;
+  std::vector<Weight>& gains = ws.gains;
+  std::vector<std::uint8_t>& sides = ws.sides;
   const bool by_weight = options.balance == FmBalance::kWeight;
   // "size" of a side: vertex count or vertex weight per the policy.
   std::int64_t size[2];
@@ -37,15 +40,14 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
   std::uint64_t bucket_ops = 0;  // inserts + removes + gain updates
   for (Vertex v = 0; v < n; ++v) {
     max_vertex_weight = std::max(max_vertex_weight, g.vertex_weight(v));
-    buckets[sides[v]].insert(v, gains[v]);
+    buckets.insert(v, sides[v], gains[v]);
   }
   bucket_ops += n;
   auto size_of = [&](Vertex v) -> std::int64_t {
     return by_weight ? g.vertex_weight(v) : 1;
   };
 
-  std::vector<Vertex> sequence;
-  sequence.reserve(n);
+  std::vector<Vertex>& sequence = ws.sequence;
   Weight cumulative = 0, best_prefix_gain = 0;
   std::size_t best_prefix_len = 0;
 
@@ -68,14 +70,14 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
     }
     // Pick the source side: any side we can legally move from,
     // preferring the larger side, then the better top gain.
-    const Weight top[2] = {buckets[0].max_gain_present(),
-                           buckets[1].max_gain_present()};
+    const Weight top[2] = {buckets.max_gain_present(0),
+                           buckets.max_gain_present(1)};
     int from = -1;
     for (int s = 0; s < 2; ++s) {
       if (top[s] == GainBuckets::kEmpty) continue;
       // Cheapest legality screen: moving the head vertex of the top
       // bucket must keep the transient window.
-      const auto head = static_cast<Vertex>(buckets[s].bucket_head(top[s]));
+      const auto head = static_cast<Vertex>(buckets.bucket_head(s, top[s]));
       const std::int64_t amount = size_of(head);
       const std::int64_t diff = (size[1 - s] + amount) - (size[s] - amount);
       if ((diff < 0 ? -diff : diff) > transient_tolerance) continue;
@@ -86,8 +88,8 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
     }
     if (from == -1) break;
 
-    const auto v = static_cast<Vertex>(buckets[from].bucket_head(top[from]));
-    buckets[from].remove(v);
+    const auto v = static_cast<Vertex>(buckets.bucket_head(from, top[from]));
+    buckets.remove(v);
     ++bucket_ops;
     sequence.push_back(v);
     cumulative += gains[v];
@@ -106,8 +108,8 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
     update_gains_after_move(g, sides, v, gains);
     sides[v] ^= 1;
     for (Vertex x : g.neighbors(v)) {
-      if (buckets[sides[x]].contains(x)) {
-        buckets[sides[x]].update(x, gains[x]);
+      if (buckets.contains(x)) {
+        buckets.update(x, gains[x]);
         ++bucket_ops;
       }
     }
@@ -125,7 +127,7 @@ Weight fm_pass(Bisection& bisection, const FmOptions& options,
     sink->add(Counter::kDeadlinePolls, polls);
   }
   for (std::size_t i = 0; i < best_prefix_len; ++i) {
-    bisection.move(sequence[i]);
+    ws.apply_move(bisection, sequence[i]);
   }
   return best_prefix_gain;
 }
@@ -143,9 +145,10 @@ FmStats fm_refine(Bisection& bisection, const FmOptions& options) {
   }
   FmStats stats;
   stats.initial_cut = bisection.cut();
+  RefineWorkspace ws(bisection);
   for (;;) {
     options.deadline.check();
-    const Weight improvement = fm_pass(bisection, options, &stats);
+    const Weight improvement = fm_pass(bisection, ws, options, &stats);
     ++stats.passes;
     if (MetricsSink* sink = options.metrics; sink != nullptr) {
       sink->add(Counter::kFmPasses);

@@ -19,11 +19,11 @@ struct PassState {
   std::vector<std::array<std::uint32_t, 2>> phi;
   std::vector<Weight> gains;
   std::vector<std::uint8_t> locked;
-  GainBuckets* buckets[2];
+  GainBuckets* buckets;
 
   void update_gain(Cell c, Weight delta) {
     gains[c] += delta;
-    if (!locked[c]) buckets[sides[c]]->update(c, gains[c]);
+    if (!locked[c]) buckets->update(c, gains[c]);
   }
 
   /// The single free-gain-update rules of FM 1982, applied around
@@ -89,7 +89,7 @@ Weight hyper_fm_pass(HyperBisection& bisection, const HyperFmOptions& options,
     max_gain = std::max(max_gain, sum);
   }
 
-  GainBuckets buckets0(n, max_gain), buckets1(n, max_gain);
+  GainBuckets buckets(n, max_gain);
   PassState state;
   state.h = &h;
   state.sides.assign(bisection.sides().begin(), bisection.sides().end());
@@ -100,13 +100,12 @@ Weight hyper_fm_pass(HyperBisection& bisection, const HyperFmOptions& options,
   }
   state.gains.resize(n);
   state.locked.assign(n, 0);
-  state.buckets[0] = &buckets0;
-  state.buckets[1] = &buckets1;
+  state.buckets = &buckets;
   std::uint32_t counts[2] = {bisection.side_count(0),
                              bisection.side_count(1)};
   for (Cell c = 0; c < n; ++c) {
     state.gains[c] = bisection.gain(c);
-    state.buckets[state.sides[c]]->insert(c, state.gains[c]);
+    buckets.insert(c, state.sides[c], state.gains[c]);
   }
 
   const std::uint64_t transient_tolerance =
@@ -118,8 +117,8 @@ Weight hyper_fm_pass(HyperBisection& bisection, const HyperFmOptions& options,
   std::size_t best_prefix_len = 0;
 
   for (std::uint32_t step = 0; step < n; ++step) {
-    const Weight top[2] = {buckets0.max_gain_present(),
-                           buckets1.max_gain_present()};
+    const Weight top[2] = {buckets.max_gain_present(0),
+                           buckets.max_gain_present(1)};
     int from = -1;
     for (int s = 0; s < 2; ++s) {
       if (top[s] == GainBuckets::kEmpty) continue;
@@ -136,9 +135,8 @@ Weight hyper_fm_pass(HyperBisection& bisection, const HyperFmOptions& options,
     }
     if (from == -1) break;
 
-    const auto c =
-        static_cast<Cell>(state.buckets[from]->bucket_head(top[from]));
-    state.buckets[from]->remove(c);
+    const auto c = static_cast<Cell>(buckets.bucket_head(from, top[from]));
+    buckets.remove(c);
     state.locked[c] = 1;
     sequence.push_back(c);
     cumulative += state.gains[c];

@@ -1,11 +1,13 @@
 #include "gbis/kl/kl.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "gbis/obs/metrics.hpp"
 #include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
+#include "gbis/partition/refine_workspace.hpp"
 
 namespace gbis {
 
@@ -14,12 +16,11 @@ namespace {
 /// Finds the unlocked pair (a on side 0, b on side 1) with maximum
 /// g_ab, scanning bucket combinations in descending g_a + g_b order.
 /// Returns false if either side is exhausted.
-bool select_best_pair(const Graph& g, const GainBuckets& side0,
-                      const GainBuckets& side1, Vertex& best_a,
-                      Vertex& best_b, Weight& best_gab,
+bool select_best_pair(const Graph& g, const GainBuckets& buckets,
+                      Vertex& best_a, Vertex& best_b, Weight& best_gab,
                       std::uint64_t& scanned) {
-  const Weight top0 = side0.max_gain_present();
-  const Weight top1 = side1.max_gain_present();
+  const Weight top0 = buckets.max_gain_present(0);
+  const Weight top1 = buckets.max_gain_present(1);
   if (top0 == GainBuckets::kEmpty || top1 == GainBuckets::kEmpty) {
     return false;
   }
@@ -27,18 +28,19 @@ bool select_best_pair(const Graph& g, const GainBuckets& side0,
   bool found = false;
   best_gab = 0;
   for (Weight ga = top0; ga != GainBuckets::kEmpty;
-       ga = side0.next_below(ga)) {
+       ga = buckets.next_below(0, ga)) {
     // Upper bound for any pair using this or a lower side-0 bucket.
     if (found && ga + top1 <= best_gab) break;
-    for (std::int64_t a_it = side0.bucket_head(ga); a_it != GainBuckets::kNil;
-         a_it = side0.bucket_next(static_cast<Vertex>(a_it))) {
+    for (std::int64_t a_it = buckets.bucket_head(0, ga);
+         a_it != GainBuckets::kNil;
+         a_it = buckets.bucket_next(static_cast<Vertex>(a_it))) {
       const auto a = static_cast<Vertex>(a_it);
       for (Weight gb = top1; gb != GainBuckets::kEmpty;
-           gb = side1.next_below(gb)) {
+           gb = buckets.next_below(1, gb)) {
         if (found && ga + gb <= best_gab) break;
-        std::int64_t b_it = side1.bucket_head(gb);
+        std::int64_t b_it = buckets.bucket_head(1, gb);
         for (; b_it != GainBuckets::kNil;
-             b_it = side1.bucket_next(static_cast<Vertex>(b_it))) {
+             b_it = buckets.bucket_next(static_cast<Vertex>(b_it))) {
           const auto b = static_cast<Vertex>(b_it);
           ++scanned;
           const Weight gab = ga + gb - 2 * g.edge_weight(a, b);
@@ -65,23 +67,22 @@ bool select_best_pair(const Graph& g, const GainBuckets& side0,
 /// Greedy-tops selection: a = best-gain vertex of side 0, b = best
 /// partner for that fixed a (argmax g_b - 2 w(a, b), scanned in
 /// descending-bucket order with the same early-exit bound).
-bool select_greedy_tops(const Graph& g, const GainBuckets& side0,
-                        const GainBuckets& side1, Vertex& best_a,
-                        Vertex& best_b, Weight& best_gab,
+bool select_greedy_tops(const Graph& g, const GainBuckets& buckets,
+                        Vertex& best_a, Vertex& best_b, Weight& best_gab,
                         std::uint64_t& scanned) {
-  const Weight top0 = side0.max_gain_present();
-  const Weight top1 = side1.max_gain_present();
+  const Weight top0 = buckets.max_gain_present(0);
+  const Weight top1 = buckets.max_gain_present(1);
   if (top0 == GainBuckets::kEmpty || top1 == GainBuckets::kEmpty) {
     return false;
   }
-  const auto a = static_cast<Vertex>(side0.bucket_head(top0));
+  const auto a = static_cast<Vertex>(buckets.bucket_head(0, top0));
   bool found = false;
   Weight best_partner = 0;
   for (Weight gb = top1; gb != GainBuckets::kEmpty;
-       gb = side1.next_below(gb)) {
+       gb = buckets.next_below(1, gb)) {
     if (found && gb <= best_partner) break;
-    for (std::int64_t it = side1.bucket_head(gb); it != GainBuckets::kNil;
-         it = side1.bucket_next(static_cast<Vertex>(it))) {
+    for (std::int64_t it = buckets.bucket_head(1, gb); it != GainBuckets::kNil;
+         it = buckets.bucket_next(static_cast<Vertex>(it))) {
       const auto b = static_cast<Vertex>(it);
       ++scanned;
       const Weight value = gb - 2 * g.edge_weight(a, b);
@@ -99,26 +100,25 @@ bool select_greedy_tops(const Graph& g, const GainBuckets& side0,
   return found;
 }
 
-}  // namespace
-
-Weight kl_pass(Bisection& bisection, KlStats* stats,
-               const KlOptions& options) {
+/// One pass on the refine's workspace; returns the cut improvement.
+Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
+                      KlStats* stats, const KlOptions& options) {
   const Graph& g = bisection.graph();
   const std::uint32_t n = g.num_vertices();
   if (n < 2) return 0;
 
-  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
-  std::vector<Weight> gains = all_gains(bisection);
-  std::vector<std::uint8_t> sides(bisection.sides().begin(),
-                                  bisection.sides().end());
-  for (Vertex v = 0; v < n; ++v) {
-    buckets[sides[v]].insert(v, gains[v]);
-  }
+  // The virtual swap never changes a side the pass reads: a and b are
+  // locked as soon as they are picked, and every unlocked vertex stays
+  // where it is until the prefix is applied below.
+  const std::span<const std::uint8_t> sides = bisection.sides();
+  ws.begin_pass();
+  GainBuckets& buckets = ws.buckets;
+  std::vector<Weight>& gains = ws.gains;
+  for (Vertex v = 0; v < n; ++v) buckets.insert(v, sides[v], gains[v]);
 
   const std::uint32_t rounds =
       std::min(bisection.side_count(0), bisection.side_count(1));
-  std::vector<std::pair<Vertex, Vertex>> sequence;
-  sequence.reserve(rounds);
+  std::vector<Vertex>& sequence = ws.sequence;  // a, b of each round
 
   Weight cumulative = 0, best_prefix_gain = 0;
   std::size_t best_prefix_len = 0;
@@ -136,59 +136,66 @@ Weight kl_pass(Bisection& bisection, KlStats* stats,
     Weight gab = 0;
     const bool found =
         options.pair_selection == KlPairSelection::kBestPair
-            ? select_best_pair(g, buckets[0], buckets[1], a, b, gab, scanned)
-            : select_greedy_tops(g, buckets[0], buckets[1], a, b, gab,
-                                 scanned);
+            ? select_best_pair(g, buckets, a, b, gab, scanned)
+            : select_greedy_tops(g, buckets, a, b, gab, scanned);
     if (!found) break;
-    buckets[0].remove(a);
-    buckets[1].remove(b);
-    sequence.emplace_back(a, b);
+    buckets.remove(a);
+    buckets.remove(b);
+    sequence.push_back(a);
+    sequence.push_back(b);
     cumulative += gab;
     if (cumulative > best_prefix_gain) {
       best_prefix_gain = cumulative;
-      best_prefix_len = sequence.size();
+      best_prefix_len = i + 1;
     }
 
     // Figure 2 lines 6-8: update unlocked gains as if (a, b) swapped.
     update_gains_after_swap(g, sides, a, b, gains);
     for (Vertex x : g.neighbors(a)) {
-      if (buckets[sides[x]].contains(x)) buckets[sides[x]].update(x, gains[x]);
+      if (buckets.contains(x)) buckets.update(x, gains[x]);
     }
     for (Vertex y : g.neighbors(b)) {
-      if (buckets[sides[y]].contains(y)) buckets[sides[y]].update(y, gains[y]);
+      if (buckets.contains(y)) buckets.update(y, gains[y]);
     }
-    // The "virtual swap" flips which physical side a and b occupy for
-    // the rest of the pass; since both are locked, only the gain values
-    // (already updated) matter — sides[] of unlocked vertices is
-    // unchanged, so the snapshot stays valid.
   }
 
+  const std::size_t pairs = sequence.size() / 2;
   if (stats != nullptr) {
-    stats->pairs_selected += sequence.size();
+    stats->pairs_selected += pairs;
     stats->pairs_swapped += best_prefix_len;
     stats->candidates_scanned += scanned;
   }
   if (MetricsSink* sink = options.metrics; sink != nullptr) {
     // One flush per pass: the hot loop above only touches locals.
-    sink->add(Counter::kKlPairsSelected, sequence.size());
+    sink->add(Counter::kKlPairsSelected, pairs);
     sink->add(Counter::kKlPairsSwapped, best_prefix_len);
     sink->add(Counter::kKlCandidatesScanned, scanned);
     sink->add(Counter::kDeadlinePolls, polls);
   }
 
-  for (std::size_t i = 0; i < best_prefix_len; ++i) {
-    bisection.swap(sequence[i].first, sequence[i].second);
+  // Each swap is its two moves (what Bisection::swap does).
+  for (std::size_t i = 0; i < 2 * best_prefix_len; ++i) {
+    ws.apply_move(bisection, sequence[i]);
   }
   return best_prefix_gain;
+}
+
+}  // namespace
+
+Weight kl_pass(Bisection& bisection, KlStats* stats,
+               const KlOptions& options) {
+  RefineWorkspace ws(bisection);
+  return workspace_pass(bisection, ws, stats, options);
 }
 
 KlStats kl_refine(Bisection& bisection, const KlOptions& options,
                   std::vector<Weight>* pass_cuts) {
   KlStats stats;
   stats.initial_cut = bisection.cut();
+  RefineWorkspace ws(bisection);
   for (;;) {
     options.deadline.check();
-    const Weight improvement = kl_pass(bisection, &stats, options);
+    const Weight improvement = workspace_pass(bisection, ws, &stats, options);
     ++stats.passes;
     if (pass_cuts != nullptr) pass_cuts->push_back(bisection.cut());
     if (MetricsSink* sink = options.metrics; sink != nullptr) {

@@ -73,7 +73,7 @@ struct PassState {
       if (queue->contains(v)) {
         queue->update(v, g_best);
       } else {
-        queue->insert(v, g_best);
+        queue->insert(v, 0, g_best);
       }
     } else if (queue->contains(v)) {
       queue->remove(v);
@@ -109,10 +109,11 @@ KwayPartition kway_fm_refine(const KwayPartition& input, Rng& rng,
 
   std::vector<Vertex> order(n);
   for (Vertex v = 0; v < n; ++v) order[v] = v;
+  GainBuckets queue(g);  // one side: every free vertex, by its best gain
 
   for (;;) {
     ++passes;
-    GainBuckets queue(g);
+    queue.clear();
     PassState state;
     state.g = &g;
     state.k = k;
@@ -142,9 +143,9 @@ KwayPartition kway_fm_refine(const KwayPartition& input, Rng& rng,
     std::size_t best_prefix_len = 0;
 
     while (sequence.size() < move_cap) {
-      const Weight top = queue.max_gain_present();
+      const Weight top = queue.max_gain_present(0);
       if (top == GainBuckets::kEmpty) break;
-      const auto v = static_cast<Vertex>(queue.bucket_head(top));
+      const auto v = static_cast<Vertex>(queue.bucket_head(0, top));
       queue.remove(v);
       // Re-validate: counts may have drifted since v was queued.
       Weight g_best = 0;
@@ -153,7 +154,7 @@ KwayPartition kway_fm_refine(const KwayPartition& input, Rng& rng,
       if (g_best != state.gain[v] || t_best != state.target[v]) {
         state.gain[v] = g_best;
         state.target[v] = t_best;
-        queue.insert(v, g_best);
+        queue.insert(v, 0, g_best);
         continue;
       }
 

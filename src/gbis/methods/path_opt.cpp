@@ -5,11 +5,15 @@
 #include "gbis/obs/metrics.hpp"
 #include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
+#include "gbis/partition/refine_workspace.hpp"
 
 namespace gbis {
 
-Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
-                     const PathOptOptions& options) {
+namespace {
+
+/// One pass on the refine's workspace; returns the cut improvement.
+Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
+                      PathOptStats* stats, const PathOptOptions& options) {
   const Graph& g = bisection.graph();
   const std::size_t n = g.num_vertices();
   const Weight cut_before = bisection.cut();
@@ -19,10 +23,11 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   // flips before it is picked, so its virtual side is its real side and
   // it waits in that side's buckets; picking removes it, which is what
   // locks it for the rest of the pass.
-  std::vector<std::uint8_t> sides(bisection.sides().begin(),
-                                  bisection.sides().end());
-  std::vector<Weight> gains = all_gains(bisection);
-  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
+  ws.begin_pass();
+  ws.sides.assign(bisection.sides().begin(), bisection.sides().end());
+  std::vector<std::uint8_t>& sides = ws.sides;
+  std::vector<Weight>& gains = ws.gains;
+  GainBuckets& buckets = ws.buckets;
 
   // Tie order is the buckets' LIFO order. Inserting in descending id
   // order leaves the lowest id at the head of each bucket. Every flip
@@ -38,11 +43,10 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   // instead, the planted and ladder classes stall 2-3x above KL's local
   // optima.)
   for (Vertex v = static_cast<Vertex>(n); v-- > 0;) {
-    buckets[sides[v]].insert(v, gains[v]);
+    buckets.insert(v, sides[v], gains[v]);
   }
 
-  std::vector<Vertex> path;
-  path.reserve(n);
+  std::vector<Vertex>& path = ws.sequence;
   Weight cumulative = 0, best_cumulative = 0;
   std::size_t best_len = 0;
   std::uint64_t polls = 0;
@@ -56,18 +60,18 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
       options.deadline.check();
       ++polls;
     }
-    GainBuckets& required = buckets[path.size() & 1u];
-    const Weight top = required.max_gain_present();
+    const int required = static_cast<int>(path.size() & 1u);
+    const Weight top = buckets.max_gain_present(required);
     if (top == GainBuckets::kEmpty) break;  // the tail can't pair up
-    const auto pick = static_cast<Vertex>(required.bucket_head(top));
-    required.remove(pick);
+    const auto pick = static_cast<Vertex>(buckets.bucket_head(required, top));
+    buckets.remove(pick);
 
     path.push_back(pick);
     cumulative += gains[pick];
     update_gains_after_move(g, sides, pick, gains);
     sides[pick] ^= 1;
     for (const Vertex u : g.neighbors(pick)) {
-      if (buckets[sides[u]].contains(u)) buckets[sides[u]].update(u, gains[u]);
+      if (buckets.contains(u)) buckets.update(u, gains[u]);
     }
 
     // Best even prefix; on ties keep the longest (a zero-gain plateau
@@ -83,8 +87,8 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   }
 
   // Commit the best prefix for real; the virtual tail is simply
-  // abandoned (sides/gains die with this call frame).
-  for (std::size_t k = 0; k < best_len; ++k) bisection.move(path[k]);
+  // abandoned (the next pass starts over from the kept gains).
+  for (std::size_t k = 0; k < best_len; ++k) ws.apply_move(bisection, path[k]);
 
   if (stats != nullptr) {
     stats->paths += path.empty() ? 0 : 1;
@@ -100,13 +104,22 @@ Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
   return cut_before - bisection.cut();
 }
 
+}  // namespace
+
+Weight path_opt_pass(Bisection& bisection, PathOptStats* stats,
+                     const PathOptOptions& options) {
+  RefineWorkspace ws(bisection);
+  return workspace_pass(bisection, ws, stats, options);
+}
+
 PathOptStats path_opt_refine(Bisection& bisection,
                              const PathOptOptions& options) {
   PathOptStats stats;
   stats.initial_cut = bisection.cut();
+  RefineWorkspace ws(bisection);
   for (;;) {
     options.deadline.check();
-    const Weight improvement = path_opt_pass(bisection, &stats, options);
+    const Weight improvement = workspace_pass(bisection, ws, &stats, options);
     ++stats.passes;
     if (MetricsSink* sink = options.metrics; sink != nullptr) {
       sink->add(Counter::kPoPasses);

@@ -17,7 +17,7 @@ Weight pair_gain(const Graph& g, Vertex a, Vertex b, Weight gain_a,
 }
 
 void update_gains_after_swap(const Graph& g,
-                             const std::vector<std::uint8_t>& sides, Vertex a,
+                             std::span<const std::uint8_t> sides, Vertex a,
                              Vertex b, std::vector<Weight>& gains) {
   const std::uint8_t side_a = sides[a];
   {

@@ -32,7 +32,7 @@ Weight pair_gain(const Graph& g, Vertex a, Vertex b, Weight gain_a,
 /// The entries for a and b themselves are left stale (callers lock
 /// them). O(deg a + deg b).
 void update_gains_after_swap(const Graph& g,
-                             const std::vector<std::uint8_t>& sides, Vertex a,
+                             std::span<const std::uint8_t> sides, Vertex a,
                              Vertex b, std::vector<Weight>& gains);
 
 /// Updates `gains` in place after a single vertex v moves to the other

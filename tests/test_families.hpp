@@ -1,16 +1,20 @@
 // The graph families the cross-method sweeps run every registered
 // method on (test_property.cpp's MethodFamilyProperty, test_methods.cpp's
-// walk digest and weight-scaling checks).
+// walk digest and weight-scaling checks), and the inputs the gain-bucket
+// refiners' walks are checked on against their references.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "gbis/core/contract.hpp"
+#include "gbis/core/matching.hpp"
 #include "gbis/gen/gnp.hpp"
 #include "gbis/gen/planted.hpp"
 #include "gbis/gen/regular_planted.hpp"
 #include "gbis/gen/special.hpp"
+#include "gbis/graph/builder.hpp"
 #include "gbis/graph/graph.hpp"
 #include "gbis/methods/registry.hpp"
 #include "gbis/rng/rng.hpp"
@@ -59,6 +63,51 @@ inline Graph make_family(Family family, std::uint32_t n, Rng& rng) {
       return make_binary_tree(n);
   }
   return Graph{};
+}
+
+/// g with every edge weight multiplied by `factor` (vertex weights kept).
+inline Graph scale_edge_weights(const Graph& g, Weight factor) {
+  GraphBuilder builder(g.num_vertices());
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    builder.set_vertex_weight(v, g.vertex_weight(v));
+  }
+  for (const Edge& e : g.edges()) builder.add_edge(e.u, e.v, e.weight * factor);
+  return builder.build();
+}
+
+/// g with random edge weights in [1, 9].
+inline Graph reweight(const Graph& g, Rng& rng) {
+  GraphBuilder builder(g.num_vertices());
+  for (const Edge& e : g.edges()) {
+    builder.add_edge(e.u, e.v, 1 + static_cast<Weight>(rng.below(9)));
+  }
+  return builder.build();
+}
+
+/// Inputs for checking a bucket refiner's walk against a reference:
+/// every family at n = 80, 81, 400 and 401, each followed by a
+/// reweighted twin; then heavy-weight copies of every fourth of those,
+/// which put the gain buckets on the sparse storage; and last the
+/// coarse graph of one contracted matching (vertex weights 1 and 2,
+/// merged edge weights). `light` is set to the count before the heavy
+/// copies.
+inline std::vector<Graph> bucket_walk_graphs(Rng& gen, std::size_t& light) {
+  std::vector<Graph> graphs;
+  for (const Family family : kFamilies) {
+    for (const std::uint32_t n : {80u, 81u, 400u, 401u}) {
+      graphs.push_back(make_family(family, n, gen));
+      graphs.push_back(reweight(graphs.back(), gen));
+    }
+  }
+  light = graphs.size();
+  for (std::size_t i = 1; i < light; i += 4) {
+    graphs.push_back(scale_edge_weights(graphs[i], Weight{1} << 40));
+  }
+  const Graph fine = make_gnp(400, 6.0 / 400, gen);
+  const Matching matching = maximal_matching(fine, gen);
+  graphs.push_back(
+      contract_matching(fine, matching, gen, /*pair_leftovers=*/false).coarse);
+  return graphs;
 }
 
 }  // namespace gbis::test

@@ -13,7 +13,10 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/graph/builder.hpp"
 #include "gbis/partition/bisection.hpp"
+#include "gbis/partition/buckets.hpp"
+#include "gbis/partition/gains.hpp"
 #include "gbis/rng/rng.hpp"
+#include "test_families.hpp"
 
 namespace gbis {
 namespace {
@@ -149,6 +152,136 @@ TEST(Fm, WeightModeRejectsWeightImbalancedInput) {
   options.balance = FmBalance::kWeight;
   options.balance_tolerance = 1;
   EXPECT_THROW(fm_refine(b, options), std::invalid_argument);
+}
+
+// --- The workspace walk against a fresh-pass reference ---------------------
+
+// FM without a workspace, kept as the reference the workspace walk
+// must match: every pass builds two fresh bucket objects (one per
+// side), recomputes every gain with all_gains and copies the sides,
+// then moves vertices exactly as fm.cpp does.
+Weight reference_fm_pass(Bisection& bisection, const FmOptions& options,
+                         FmStats& stats) {
+  const Graph& g = bisection.graph();
+  const std::uint32_t n = g.num_vertices();
+  if (n < 2) return 0;
+  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
+  std::vector<Weight> gains = all_gains(bisection);
+  std::vector<std::uint8_t> sides(bisection.sides().begin(),
+                                  bisection.sides().end());
+  const bool by_weight = options.balance == FmBalance::kWeight;
+  std::int64_t size[2];
+  for (int s = 0; s < 2; ++s) {
+    size[s] = by_weight ? bisection.side_weight(s) : bisection.side_count(s);
+  }
+  Weight max_vertex_weight = 1;
+  for (Vertex v = 0; v < n; ++v) {
+    max_vertex_weight = std::max(max_vertex_weight, g.vertex_weight(v));
+    buckets[sides[v]].insert(v, 0, gains[v]);
+  }
+  auto size_of = [&](Vertex v) -> std::int64_t {
+    return by_weight ? g.vertex_weight(v) : 1;
+  };
+  std::vector<Vertex> sequence;
+  Weight cumulative = 0, best_prefix_gain = 0;
+  std::size_t best_prefix_len = 0;
+  const std::int64_t transient_tolerance =
+      static_cast<std::int64_t>(options.balance_tolerance) +
+      (by_weight ? max_vertex_weight : 1);
+  for (std::uint32_t step = 0; step < n; ++step) {
+    const Weight top[2] = {buckets[0].max_gain_present(0),
+                           buckets[1].max_gain_present(0)};
+    int from = -1;
+    for (int s = 0; s < 2; ++s) {
+      if (top[s] == GainBuckets::kEmpty) continue;
+      const auto head = static_cast<Vertex>(buckets[s].bucket_head(0, top[s]));
+      const std::int64_t amount = size_of(head);
+      const std::int64_t diff = (size[1 - s] + amount) - (size[s] - amount);
+      if ((diff < 0 ? -diff : diff) > transient_tolerance) continue;
+      if (from == -1 || size[s] > size[from] ||
+          (size[s] == size[from] && top[s] > top[from])) {
+        from = s;
+      }
+    }
+    if (from == -1) break;
+    const auto v =
+        static_cast<Vertex>(buckets[from].bucket_head(0, top[from]));
+    buckets[from].remove(v);
+    sequence.push_back(v);
+    cumulative += gains[v];
+    const std::int64_t amount = size_of(v);
+    size[from] -= amount;
+    size[from ^ 1] += amount;
+    const std::int64_t imbalance_after =
+        size[0] >= size[1] ? size[0] - size[1] : size[1] - size[0];
+    if (cumulative > best_prefix_gain &&
+        imbalance_after <=
+            static_cast<std::int64_t>(options.balance_tolerance)) {
+      best_prefix_gain = cumulative;
+      best_prefix_len = sequence.size();
+    }
+    update_gains_after_move(g, sides, v, gains);
+    sides[v] ^= 1;
+    for (Vertex x : g.neighbors(v)) {
+      if (buckets[sides[x]].contains(x)) buckets[sides[x]].update(x, gains[x]);
+    }
+  }
+  stats.moves_considered += sequence.size();
+  stats.moves_applied += best_prefix_len;
+  for (std::size_t i = 0; i < best_prefix_len; ++i) {
+    bisection.move(sequence[i]);
+  }
+  return best_prefix_gain;
+}
+
+FmStats reference_fm_refine(Bisection& bisection, const FmOptions& options) {
+  FmStats stats;
+  stats.initial_cut = bisection.cut();
+  for (;;) {
+    const Weight improvement = reference_fm_pass(bisection, options, stats);
+    ++stats.passes;
+    if (improvement <= 0) break;
+  }
+  stats.final_cut = bisection.cut();
+  return stats;
+}
+
+TEST(Fm, WorkspaceWalkMatchesFreshPassReference) {
+  Rng gen(43);
+  std::size_t light = 0;
+  const std::vector<Graph> graphs = test::bucket_walk_graphs(gen, light);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    EXPECT_EQ(GainBuckets(g).dense(), i < light || i + 1 == graphs.size());
+    Rng starts(i + 1);
+    for (int s = 0; s < 3; ++s) {
+      const Bisection start = Bisection::random(g, starts);
+      for (const FmBalance balance : {FmBalance::kCount, FmBalance::kWeight}) {
+        SCOPED_TRACE(testing::Message() << "graph " << i << " start " << s
+                                        << " balance "
+                                        << static_cast<int>(balance));
+        FmOptions options;
+        options.balance = balance;
+        if (balance == FmBalance::kWeight) {
+          options.balance_tolerance = static_cast<std::uint64_t>(
+              std::max(Weight{1}, start.weight_imbalance()));
+        }
+        Bisection workspace = start;
+        Bisection reference = start;
+        const FmStats got = fm_refine(workspace, options);
+        const FmStats want = reference_fm_refine(reference, options);
+        EXPECT_TRUE(std::equal(workspace.sides().begin(),
+                               workspace.sides().end(),
+                               reference.sides().begin()));
+        EXPECT_EQ(workspace.cut(), reference.cut());
+        EXPECT_EQ(got.passes, want.passes);
+        EXPECT_EQ(got.moves_considered, want.moves_considered);
+        EXPECT_EQ(got.moves_applied, want.moves_applied);
+        EXPECT_EQ(got.initial_cut, want.initial_cut);
+        EXPECT_EQ(got.final_cut, want.final_cut);
+      }
+    }
+  }
 }
 
 class FmProperty : public testing::TestWithParam<std::uint32_t> {};

@@ -15,7 +15,10 @@
 #include "gbis/gen/special.hpp"
 #include "gbis/kl/kl.hpp"
 #include "gbis/partition/bisection.hpp"
+#include "gbis/partition/buckets.hpp"
+#include "gbis/partition/gains.hpp"
 #include "gbis/rng/rng.hpp"
+#include "test_families.hpp"
 
 namespace gbis {
 namespace {
@@ -177,6 +180,184 @@ TEST(Kl, StatsAccumulateAcrossPasses) {
   const KlStats stats = kl_refine(b);
   EXPECT_GE(stats.pairs_selected, stats.pairs_swapped);
   EXPECT_GT(stats.candidates_scanned, 0u);
+}
+
+// --- The workspace walk against a fresh-pass reference ---------------------
+
+// KL without a workspace, kept as the reference the workspace walk
+// must match: every pass builds two fresh bucket objects (one per
+// side), recomputes every gain with all_gains and copies the sides,
+// then scans pairs exactly as kl.cpp does.
+bool reference_best_pair(const Graph& g, const GainBuckets (&side)[2],
+                         Vertex& best_a, Vertex& best_b, Weight& best_gab,
+                         std::uint64_t& scanned) {
+  const Weight top0 = side[0].max_gain_present(0);
+  const Weight top1 = side[1].max_gain_present(0);
+  if (top0 == GainBuckets::kEmpty || top1 == GainBuckets::kEmpty) {
+    return false;
+  }
+  bool found = false;
+  best_gab = 0;
+  for (Weight ga = top0; ga != GainBuckets::kEmpty;
+       ga = side[0].next_below(0, ga)) {
+    if (found && ga + top1 <= best_gab) break;
+    for (auto a_it = side[0].bucket_head(0, ga); a_it != GainBuckets::kNil;
+         a_it = side[0].bucket_next(static_cast<Vertex>(a_it))) {
+      const auto a = static_cast<Vertex>(a_it);
+      for (Weight gb = top1; gb != GainBuckets::kEmpty;
+           gb = side[1].next_below(0, gb)) {
+        if (found && ga + gb <= best_gab) break;
+        for (auto b_it = side[1].bucket_head(0, gb); b_it != GainBuckets::kNil;
+             b_it = side[1].bucket_next(static_cast<Vertex>(b_it))) {
+          const auto b = static_cast<Vertex>(b_it);
+          ++scanned;
+          const Weight gab = ga + gb - 2 * g.edge_weight(a, b);
+          if (!found || gab > best_gab) {
+            found = true;
+            best_gab = gab;
+            best_a = a;
+            best_b = b;
+          }
+          if (best_gab == ga + gb) break;
+        }
+        if (found && best_gab >= ga + gb) break;
+      }
+      if (found && best_gab >= ga + top1) break;
+    }
+    if (found && best_gab >= ga + top1) break;
+  }
+  return found;
+}
+
+bool reference_greedy_tops(const Graph& g, const GainBuckets (&side)[2],
+                           Vertex& best_a, Vertex& best_b, Weight& best_gab,
+                           std::uint64_t& scanned) {
+  const Weight top0 = side[0].max_gain_present(0);
+  const Weight top1 = side[1].max_gain_present(0);
+  if (top0 == GainBuckets::kEmpty || top1 == GainBuckets::kEmpty) {
+    return false;
+  }
+  const auto a = static_cast<Vertex>(side[0].bucket_head(0, top0));
+  bool found = false;
+  Weight best_partner = 0;
+  for (Weight gb = top1; gb != GainBuckets::kEmpty;
+       gb = side[1].next_below(0, gb)) {
+    if (found && gb <= best_partner) break;
+    for (auto it = side[1].bucket_head(0, gb); it != GainBuckets::kNil;
+         it = side[1].bucket_next(static_cast<Vertex>(it))) {
+      const auto b = static_cast<Vertex>(it);
+      ++scanned;
+      const Weight value = gb - 2 * g.edge_weight(a, b);
+      if (!found || value > best_partner) {
+        found = true;
+        best_partner = value;
+        best_b = b;
+      }
+      if (best_partner == gb) break;
+    }
+    if (found && best_partner >= gb) break;
+  }
+  best_a = a;
+  best_gab = top0 + best_partner;
+  return found;
+}
+
+Weight reference_kl_pass(Bisection& bisection, KlStats& stats,
+                         KlPairSelection selection) {
+  const Graph& g = bisection.graph();
+  const std::uint32_t n = g.num_vertices();
+  if (n < 2) return 0;
+  GainBuckets buckets[2] = {GainBuckets(g), GainBuckets(g)};
+  std::vector<Weight> gains = all_gains(bisection);
+  std::vector<std::uint8_t> sides(bisection.sides().begin(),
+                                  bisection.sides().end());
+  for (Vertex v = 0; v < n; ++v) buckets[sides[v]].insert(v, 0, gains[v]);
+
+  const std::uint32_t rounds =
+      std::min(bisection.side_count(0), bisection.side_count(1));
+  std::vector<std::pair<Vertex, Vertex>> sequence;
+  Weight cumulative = 0, best_prefix_gain = 0;
+  std::size_t best_prefix_len = 0;
+  for (std::uint32_t i = 0; i < rounds; ++i) {
+    Vertex a = 0, b = 0;
+    Weight gab = 0;
+    const bool found =
+        selection == KlPairSelection::kBestPair
+            ? reference_best_pair(g, buckets, a, b, gab,
+                                  stats.candidates_scanned)
+            : reference_greedy_tops(g, buckets, a, b, gab,
+                                    stats.candidates_scanned);
+    if (!found) break;
+    buckets[0].remove(a);
+    buckets[1].remove(b);
+    sequence.emplace_back(a, b);
+    cumulative += gab;
+    if (cumulative > best_prefix_gain) {
+      best_prefix_gain = cumulative;
+      best_prefix_len = sequence.size();
+    }
+    update_gains_after_swap(g, sides, a, b, gains);
+    for (Vertex x : g.neighbors(a)) {
+      if (buckets[sides[x]].contains(x)) buckets[sides[x]].update(x, gains[x]);
+    }
+    for (Vertex y : g.neighbors(b)) {
+      if (buckets[sides[y]].contains(y)) buckets[sides[y]].update(y, gains[y]);
+    }
+  }
+  stats.pairs_selected += sequence.size();
+  stats.pairs_swapped += best_prefix_len;
+  for (std::size_t i = 0; i < best_prefix_len; ++i) {
+    bisection.swap(sequence[i].first, sequence[i].second);
+  }
+  return best_prefix_gain;
+}
+
+KlStats reference_kl_refine(Bisection& bisection, KlPairSelection selection) {
+  KlStats stats;
+  stats.initial_cut = bisection.cut();
+  for (;;) {
+    const Weight improvement = reference_kl_pass(bisection, stats, selection);
+    ++stats.passes;
+    if (improvement <= 0) break;
+  }
+  stats.final_cut = bisection.cut();
+  return stats;
+}
+
+TEST(Kl, WorkspaceWalkMatchesFreshPassReference) {
+  Rng gen(41);
+  std::size_t light = 0;
+  const std::vector<Graph> graphs = test::bucket_walk_graphs(gen, light);
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    const Graph& g = graphs[i];
+    EXPECT_EQ(GainBuckets(g).dense(), i < light || i + 1 == graphs.size());
+    Rng starts(i + 1);
+    for (int s = 0; s < 3; ++s) {
+      const Bisection start = Bisection::random(g, starts);
+      for (const KlPairSelection selection :
+           {KlPairSelection::kBestPair, KlPairSelection::kGreedyTops}) {
+        SCOPED_TRACE(testing::Message()
+                     << "graph " << i << " start " << s << " selection "
+                     << static_cast<int>(selection));
+        KlOptions options;
+        options.pair_selection = selection;
+        Bisection workspace = start;
+        Bisection reference = start;
+        const KlStats got = kl_refine(workspace, options);
+        const KlStats want = reference_kl_refine(reference, selection);
+        EXPECT_TRUE(std::equal(workspace.sides().begin(),
+                               workspace.sides().end(),
+                               reference.sides().begin()));
+        EXPECT_EQ(workspace.cut(), reference.cut());
+        EXPECT_EQ(got.passes, want.passes);
+        EXPECT_EQ(got.pairs_selected, want.pairs_selected);
+        EXPECT_EQ(got.pairs_swapped, want.pairs_swapped);
+        EXPECT_EQ(got.candidates_scanned, want.candidates_scanned);
+        EXPECT_EQ(got.initial_cut, want.initial_cut);
+        EXPECT_EQ(got.final_cut, want.final_cut);
+      }
+    }
+  }
 }
 
 // Property sweep: on random planted instances of growing size, KL from

@@ -163,6 +163,31 @@ TEST(Methods, WalkDigestIsPinned) {
   EXPECT_EQ(digest, 0x4b0e48b912e40670ull) << std::hex << digest;
 }
 
+// The same digest for the gain-bucket refiners at the sizes the
+// service's guardrail graphs have, where a KL pass runs for hundreds of
+// rounds: Gnp(3001, 5) at odd |V| and Gbreg(4000, 16, 4), seeds 1 and 2.
+TEST(Methods, WalksArePinnedAtServiceSize) {
+  RunConfig config;
+  config.threads = 1;
+  Rng gen(2024);
+  const Graph graphs[] = {make_gnp(3001, 5.0 / 3001, gen),
+                          make_regular_planted({4000, 16, 4}, gen)};
+  std::uint64_t digest = kFnvOffset;
+  for (const Method method : {Method::kKl, Method::kCkl, Method::kMultilevelKl,
+                              Method::kFm, Method::kPathOpt}) {
+    for (const Graph& g : graphs) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        std::vector<std::uint8_t> sides;
+        const RunResult result =
+            run_method_seeded(g, method, seed, config, &sides);
+        digest = fnv1a(digest, static_cast<std::uint64_t>(result.best_cut));
+        digest = fnv1a(digest, sides);
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x256198ade341ca40ull) << std::hex << digest;
+}
+
 // --- Path optimization -----------------------------------------------------
 
 TEST(PathOpt, NeverWorsensAndKeepsBalance) {
@@ -336,38 +361,19 @@ PathOptStats reference_path_refine(Bisection& bisection) {
   return stats;
 }
 
-/// g with every edge weight multiplied by `factor` (vertex weights kept).
-Graph scale_edge_weights(const Graph& g, Weight factor) {
-  GraphBuilder builder(g.num_vertices());
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    builder.set_vertex_weight(v, g.vertex_weight(v));
-  }
-  for (const Edge& e : g.edges()) builder.add_edge(e.u, e.v, e.weight * factor);
-  return builder.build();
-}
-
-/// g with random edge weights in [1, 9].
-Graph reweight(const Graph& g, Rng& rng) {
-  GraphBuilder builder(g.num_vertices());
-  for (const Edge& e : g.edges()) {
-    builder.add_edge(e.u, e.v, 1 + static_cast<Weight>(rng.below(9)));
-  }
-  return builder.build();
-}
-
 TEST(PathOpt, BucketWalkMatchesReferenceScan) {
   std::vector<Graph> graphs;
   Rng gen(31);
   for (const test::Family family : test::kFamilies) {
     for (const std::uint32_t n : {80u, 81u, 400u, 401u}) {
       graphs.push_back(test::make_family(family, n, gen));
-      graphs.push_back(reweight(graphs.back(), gen));
+      graphs.push_back(test::reweight(graphs.back(), gen));
     }
   }
   // Heavy weights put the path buckets on the sparse storage.
   const std::size_t light = graphs.size();
   for (std::size_t i = 1; i < light; i += 4) {
-    graphs.push_back(scale_edge_weights(graphs[i], Weight{1} << 40));
+    graphs.push_back(test::scale_edge_weights(graphs[i], Weight{1} << 40));
   }
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const Graph& g = graphs[i];
@@ -408,7 +414,7 @@ TEST(Methods, WeightScalingKeepsSidesAndScalesTheCut) {
         const Graph g = test::make_family(family, n, gen);
         const Weight largest = kMaxTotalWeight / g.total_edge_weight();
         for (const Weight c : {Weight{3}, Weight{1} << 20, largest}) {
-          const Graph scaled = scale_edge_weights(g, c);
+          const Graph scaled = test::scale_edge_weights(g, c);
           for (const Method method : test::registered_methods()) {
             if (method == Method::kSa || method == Method::kCsa) continue;
             SCOPED_TRACE(testing::Message()

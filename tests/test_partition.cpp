@@ -232,91 +232,204 @@ TEST(Rebalance, AllOnOneSide) {
   EXPECT_TRUE(b.validate());
 }
 
-// Every bucket test runs on both storages: the same gains under a
-// bound whose heads fit the dense array, and under one past it, which
-// selects the ordered map.
+// Every bucket test runs on both storages (the same gains under a bound
+// whose heads fit the dense array, and under one past it, which selects
+// the ordered maps) and on both sides of one object. The other side
+// holds a twin of every vertex the test inserts, at the same gain, and
+// keeps it: nothing the test sees of its own side may depend on it.
 class GainBucketStorage : public testing::TestWithParam<bool> {
  protected:
-  GainBuckets make(std::uint32_t capacity, Weight max_gain) const {
-    GainBuckets buckets(capacity, GetParam() ? max_gain : kMaxTotalWeight);
+  GainBuckets make(std::uint32_t capacity, Weight max_gain) {
+    twin_ = capacity;
+    GainBuckets buckets(2 * capacity, GetParam() ? max_gain : kMaxTotalWeight);
     EXPECT_EQ(buckets.dense(), GetParam());
     return buckets;
   }
+
+  /// Inserts v on `side` and its twin, at the same gain, on the other.
+  void insert(GainBuckets& buckets, int side, Vertex v, Weight g) {
+    buckets.insert(v, side, g);
+    buckets.insert(v + twin_, 1 - side, g);
+    twins_.push_back(v + twin_);
+  }
+
+  /// The other side still iterates its twins in insertion (LIFO) order
+  /// within each gain, as a fresh object holding only them would.
+  void expect_twins_intact(const GainBuckets& buckets, int side) const {
+    GainBuckets fresh(2 * twin_, GetParam() ? 5 : kMaxTotalWeight);
+    for (const Vertex t : twins_) fresh.insert(t, 1 - side, buckets.gain(t));
+    EXPECT_EQ(order(buckets, 1 - side), order(fresh, 1 - side));
+  }
+
+  /// Every vertex on `side`: descending gains, each bucket in order.
+  static std::vector<std::int64_t> order(const GainBuckets& buckets,
+                                         int side) {
+    std::vector<std::int64_t> out;
+    for (Weight g = buckets.max_gain_present(side); g != GainBuckets::kEmpty;
+         g = buckets.next_below(side, g)) {
+      for (auto it = buckets.bucket_head(side, g); it != GainBuckets::kNil;
+           it = buckets.bucket_next(static_cast<Vertex>(it))) {
+        out.push_back(it);
+      }
+    }
+    return out;
+  }
+
+  std::uint32_t twin_ = 0;
+  std::vector<Vertex> twins_;
 };
 
 TEST_P(GainBucketStorage, InsertRemoveUpdate) {
-  GainBuckets buckets = make(10, 5);
-  EXPECT_TRUE(buckets.empty());
-  buckets.insert(3, 2);
-  buckets.insert(4, -5);
-  buckets.insert(5, 2);
-  EXPECT_EQ(buckets.max_gain_present(), 2);
-  EXPECT_EQ(buckets.next_below(2), -5);
-  EXPECT_EQ(buckets.next_below(-5), GainBuckets::kEmpty);
-  EXPECT_TRUE(buckets.contains(3));
-  EXPECT_FALSE(buckets.contains(0));
-  EXPECT_EQ(buckets.gain(4), -5);
+  for (const int side : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "side " << side);
+    twins_.clear();
+    GainBuckets buckets = make(10, 5);
+    EXPECT_TRUE(buckets.empty(side));
+    insert(buckets, side, 3, 2);
+    insert(buckets, side, 4, -5);
+    insert(buckets, side, 5, 2);
+    EXPECT_EQ(buckets.max_gain_present(side), 2);
+    EXPECT_EQ(buckets.next_below(side, 2), -5);
+    EXPECT_EQ(buckets.next_below(side, -5), GainBuckets::kEmpty);
+    EXPECT_TRUE(buckets.contains(3));
+    EXPECT_FALSE(buckets.contains(0));
+    EXPECT_EQ(buckets.gain(4), -5);
 
-  buckets.remove(5);
-  EXPECT_EQ(buckets.max_gain_present(), 2);
-  buckets.remove(3);
-  EXPECT_EQ(buckets.max_gain_present(), -5);
-  EXPECT_EQ(buckets.bucket_head(2), GainBuckets::kNil);
-  buckets.update(4, 5);
-  EXPECT_EQ(buckets.max_gain_present(), 5);
-  EXPECT_EQ(buckets.next_below(5), GainBuckets::kEmpty);
-  buckets.remove(4);
-  EXPECT_TRUE(buckets.empty());
+    buckets.remove(5);
+    EXPECT_EQ(buckets.max_gain_present(side), 2);
+    buckets.remove(3);
+    EXPECT_EQ(buckets.max_gain_present(side), -5);
+    EXPECT_EQ(buckets.bucket_head(side, 2), GainBuckets::kNil);
+    buckets.update(4, 5);  // on its side
+    EXPECT_EQ(buckets.max_gain_present(side), 5);
+    EXPECT_EQ(buckets.next_below(side, 5), GainBuckets::kEmpty);
+    buckets.remove(4);
+    EXPECT_TRUE(buckets.empty(side));
+    EXPECT_FALSE(buckets.contains(4));
+    expect_twins_intact(buckets, side);
+  }
 }
 
 TEST_P(GainBucketStorage, BucketIterationCoversAll) {
-  GainBuckets buckets = make(6, 3);
-  buckets.insert(0, 1);
-  buckets.insert(1, 1);
-  buckets.insert(2, 1);
-  buckets.insert(3, -3);
-  buckets.insert(4, 3);
-  // Descending gains, each bucket in LIFO order.
-  std::vector<std::int64_t> order;
-  for (Weight g = buckets.max_gain_present(); g != GainBuckets::kEmpty;
-       g = buckets.next_below(g)) {
-    for (auto it = buckets.bucket_head(g); it != GainBuckets::kNil;
-         it = buckets.bucket_next(static_cast<Vertex>(it))) {
-      order.push_back(it);
-    }
+  for (const int side : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "side " << side);
+    twins_.clear();
+    GainBuckets buckets = make(6, 3);
+    insert(buckets, side, 0, 1);
+    insert(buckets, side, 1, 1);
+    insert(buckets, side, 2, 1);
+    insert(buckets, side, 3, -3);
+    insert(buckets, side, 4, 3);
+    // Descending gains, each bucket in LIFO order.
+    EXPECT_EQ(order(buckets, side), (std::vector<std::int64_t>{4, 2, 1, 0, 3}));
+    // An update that changes a gain moves the vertex to its new head.
+    buckets.update(0, 3);
+    EXPECT_EQ(buckets.bucket_head(side, 3), 0);
+    EXPECT_EQ(buckets.bucket_next(0), 4);
+    // One that keeps the gain keeps the place, mid-bucket or at a head.
+    buckets.update(1, 1);
+    buckets.update(0, 3);
+    EXPECT_EQ(order(buckets, side), (std::vector<std::int64_t>{0, 4, 2, 1, 3}));
+    expect_twins_intact(buckets, side);
   }
-  EXPECT_EQ(order, (std::vector<std::int64_t>{4, 2, 1, 0, 3}));
-  // An update that changes a gain moves the vertex to its new head.
-  buckets.update(0, 3);
-  EXPECT_EQ(buckets.bucket_head(3), 0);
-  EXPECT_EQ(buckets.bucket_next(0), 4);
 }
 
 TEST_P(GainBucketStorage, RemoveMiddleOfBucket) {
-  GainBuckets buckets = make(6, 3);
-  buckets.insert(0, 1);
-  buckets.insert(1, 1);
-  buckets.insert(2, 1);
-  buckets.remove(1);  // middle of the linked list (insertion order 2,1,0)
-  int count = 0;
-  for (auto it = buckets.bucket_head(1); it != GainBuckets::kNil;
-       it = buckets.bucket_next(static_cast<Vertex>(it))) {
-    EXPECT_NE(it, 1);
-    ++count;
+  for (const int side : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "side " << side);
+    twins_.clear();
+    GainBuckets buckets = make(6, 3);
+    insert(buckets, side, 0, 1);
+    insert(buckets, side, 1, 1);
+    insert(buckets, side, 2, 1);
+    buckets.remove(1);  // middle of the linked list (insertion order 2,1,0)
+    int count = 0;
+    for (auto it = buckets.bucket_head(side, 1); it != GainBuckets::kNil;
+         it = buckets.bucket_next(static_cast<Vertex>(it))) {
+      EXPECT_NE(it, 1);
+      ++count;
+    }
+    EXPECT_EQ(count, 2);
+    // Emptying the bucket takes its gain out of the scan.
+    insert(buckets, side, 3, -2);
+    buckets.remove(2);
+    buckets.remove(0);
+    EXPECT_EQ(buckets.max_gain_present(side), -2);
+    EXPECT_EQ(buckets.bucket_head(side, 1), GainBuckets::kNil);
+    expect_twins_intact(buckets, side);
   }
-  EXPECT_EQ(count, 2);
-  // Emptying the bucket takes its gain out of the scan.
-  buckets.insert(3, -2);
-  buckets.remove(2);
-  buckets.remove(0);
-  EXPECT_EQ(buckets.max_gain_present(), -2);
-  EXPECT_EQ(buckets.bucket_head(1), GainBuckets::kNil);
+}
+
+// A refine clears one object between passes instead of building a new
+// one, so a cleared object must hold nothing and then fill exactly as a
+// fresh one does.
+TEST_P(GainBucketStorage, ClearedRefillIteratesLikeAFreshObject) {
+  GainBuckets used = make(12, 5);
+  for (Vertex v = 0; v < 12; ++v) used.insert(v, v % 2, v % 3 == 0 ? -1 : 4);
+  for (Vertex v = 0; v < 12; v += 3) used.update(v, 5);
+  used.remove(7);
+  used.remove(4);
+  used.clear();
+  for (const int side : {0, 1}) EXPECT_TRUE(used.empty(side));
+  for (Vertex v = 0; v < 24; ++v) EXPECT_FALSE(used.contains(v));
+
+  GainBuckets fresh = make(12, 5);
+  for (GainBuckets* buckets : {&used, &fresh}) {
+    for (Vertex v = 24; v-- > 0;) {
+      buckets->insert(v, (v / 3) % 2, static_cast<Weight>(v % 5) - 2);
+    }
+    buckets->update(3, 5);
+    buckets->update(20, -5);
+    buckets->remove(9);
+  }
+  for (const int side : {0, 1}) {
+    EXPECT_EQ(order(used, side), order(fresh, side)) << "side " << side;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Storages, GainBucketStorage, testing::Bool(),
                          [](const testing::TestParamInfo<bool>& info) {
                            return info.param ? "dense" : "sparse";
                          });
+
+// The sparse storage takes a head from its pool of |V| spare nodes for
+// every non-empty gain and returns it when the bucket empties. All |V|
+// vertices at distinct gains need every spare head at once, so a head
+// that an emptied bucket, an update or clear() failed to return would
+// leave a fill without one.
+TEST(GainBuckets, SparseHeadPoolSurvivesRefills) {
+  constexpr std::uint32_t n = 64;
+  GainBuckets buckets(n, kMaxTotalWeight);
+  ASSERT_FALSE(buckets.dense());
+  const Weight step = Weight{1} << 40;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    // All |V| at distinct gains, then every one moved to another
+    // distinct gain (each update returns a head and takes one).
+    for (Vertex v = 0; v < n; ++v) {
+      buckets.insert(v, v % 2, (Weight{v} - n / 2) * step + round);
+    }
+    for (Vertex v = 0; v < n; ++v) {
+      buckets.update(v, (Weight{n / 2} - v) * step - round);
+    }
+    for (const int side : {0, 1}) {
+      std::vector<std::int64_t> got, want;
+      for (Weight g = buckets.max_gain_present(side);
+           g != GainBuckets::kEmpty; g = buckets.next_below(side, g)) {
+        EXPECT_EQ(buckets.bucket_next(
+                      static_cast<Vertex>(buckets.bucket_head(side, g))),
+                  GainBuckets::kNil);
+        got.push_back(buckets.bucket_head(side, g));
+      }
+      for (Vertex v = side; v < n; v += 2) want.push_back(v);
+      EXPECT_EQ(got, want);
+    }
+    // Empty them one by one, then clear.
+    for (Vertex v = 0; v < n; ++v) buckets.remove(v);
+    for (const int side : {0, 1}) EXPECT_TRUE(buckets.empty(side));
+    buckets.clear();
+  }
+}
 
 TEST(GainBuckets, DenseUpToSixteenHeadsPerVertexOrTheFloor) {
   EXPECT_TRUE(GainBuckets(10, (GainBuckets::kDenseFloor - 1) / 2).dense());
@@ -329,10 +442,12 @@ TEST(GainBuckets, DenseUpToSixteenHeadsPerVertexOrTheFloor) {
   // which is 2 on a cycle.
   GainBuckets from_graph(make_cycle(10));
   EXPECT_TRUE(from_graph.dense());
-  from_graph.insert(0, -2);
-  from_graph.insert(9, 2);
-  EXPECT_EQ(from_graph.max_gain_present(), 2);
-  EXPECT_EQ(from_graph.next_below(2), -2);
+  from_graph.insert(0, 0, -2);
+  from_graph.insert(9, 0, 2);
+  from_graph.insert(5, 1, -1);
+  EXPECT_EQ(from_graph.max_gain_present(0), 2);
+  EXPECT_EQ(from_graph.next_below(0, 2), -2);
+  EXPECT_EQ(from_graph.max_gain_present(1), -1);
 }
 
 }  // namespace

@@ -126,9 +126,7 @@ Weight fm_pass(Bisection& bisection, RefineWorkspace& ws,
     sink->add(Counter::kFmBucketOps, bucket_ops);
     sink->add(Counter::kDeadlinePolls, polls);
   }
-  for (std::size_t i = 0; i < best_prefix_len; ++i) {
-    ws.apply_move(bisection, sequence[i]);
-  }
+  ws.apply_prefix(bisection, best_prefix_len, best_prefix_gain, "fm_refine");
   return best_prefix_gain;
 }
 

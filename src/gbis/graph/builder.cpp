@@ -17,17 +17,6 @@ void add_within_limit(Weight& total, Weight w, const char* what) {
   total += w;
 }
 
-/// Stable counting sort of `from` into `to` (of the same size) by
-/// key(e), a vertex id below n.
-template <typename Key>
-void counting_sort(const std::vector<Edge>& from, std::vector<Edge>& to,
-                   std::uint32_t n, Key key) {
-  std::vector<std::size_t> start(static_cast<std::size_t>(n) + 1, 0);
-  for (const Edge& e : from) ++start[key(e) + std::size_t{1}];
-  for (std::uint32_t k = 0; k < n; ++k) start[k + 1] += start[k];
-  for (const Edge& e : from) to[start[key(e)]++] = e;
-}
-
 }  // namespace
 
 GraphBuilder::GraphBuilder(std::uint32_t num_vertices, SelfLoops self_loops)
@@ -64,73 +53,107 @@ void GraphBuilder::set_vertex_weight(Vertex v, Weight weight) {
 
 Graph GraphBuilder::build() {
   const std::uint32_t n = num_vertices();
+  Graph g;
+  std::vector<std::uint64_t>& offsets = g.offsets_;
 
   // The weight limit, checked before any sum that could overflow is
-  // formed. Weights are positive, so a merged parallel edge and every
-  // weighted degree stay within the edge total.
+  // formed, and each vertex's degree with parallel edges counted apart.
+  // Weights are positive, so a merged parallel edge and every weighted
+  // degree stay within the edge total.
+  offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   Weight total_edge_weight = 0;
   for (const Edge& e : staged_) {
     add_within_limit(total_edge_weight, e.weight, "edge");
+    ++offsets[e.u + std::size_t{1}];
+    ++offsets[e.v + std::size_t{1}];
   }
   Weight total_vertex_weight = 0;
-  for (const Weight w : vertex_weights_) {
-    add_within_limit(total_vertex_weight, w, "vertex");
+  for (Vertex v = 0; v < n; ++v) {
+    add_within_limit(total_vertex_weight, vertex_weights_[v], "vertex");
+    offsets[v + std::size_t{1}] += offsets[v];
   }
 
-  // Sort by (u, v) in O(|V| + |E|): a stable counting pass by v, then
-  // one by u, which keeps each u's edges in ascending v order. The
-  // scratch copy is freed before the CSR arrays are allocated.
-  {
-    std::vector<Edge> by_v(staged_.size());
-    counting_sort(staged_, by_v, n, [](const Edge& e) { return e.v; });
-    counting_sort(by_v, staged_, n, [](const Edge& e) { return e.u; });
+  // Each row holds its lower neighbours (ids below its own), then its
+  // upper ones. Deal every edge into its lower endpoint's row, filled
+  // from the row's end down; `upper[x]` is then where x's upper part
+  // starts, and `lower[x]` where its lower part ends.
+  std::vector<Vertex> neighbors(2 * staged_.size());
+  std::vector<Weight> weights(2 * staged_.size());
+  std::vector<std::uint64_t> upper(offsets.begin() + 1, offsets.end());
+  for (const Edge& e : staged_) {
+    const std::uint64_t k = --upper[e.u];
+    neighbors[k] = e.v;
+    weights[k] = e.weight;
   }
-  // Merge parallel edges by summing weights.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    if (out > 0 && staged_[out - 1].u == staged_[i].u &&
-        staged_[out - 1].v == staged_[i].v) {
-      staged_[out - 1].weight += staged_[i].weight;
-    } else {
-      staged_[out++] = staged_[i];
+  std::vector<std::uint64_t> lower(offsets.begin(), offsets.end() - 1);
+
+  // One sweep in ascending x sorts and merges both parts. When the
+  // sweep reaches x, every u < x has dealt its edges (u, x) into x's
+  // lower part, in ascending u and merged, so that part is final; it is
+  // dealt back into each u's upper part, which then fills in ascending
+  // x, right after u's own lower part. Then x's dealt upper edges (x, v)
+  // go into each v's lower part, a repeat of the last one merging into
+  // it. Every weighted degree is summed on the way.
+  bool merged = false;
+  Weight max_weighted_degree = 0;
+  for (Vertex x = 0; x < n; ++x) {
+    Weight degree = 0;
+    for (std::uint64_t k = offsets[x]; k < lower[x]; ++k) {
+      const std::uint64_t slot = upper[neighbors[k]]++;
+      neighbors[slot] = x;
+      weights[slot] = weights[k];
+      degree += weights[k];
     }
+    for (std::uint64_t k = upper[x]; k < offsets[x + std::size_t{1}]; ++k) {
+      const Vertex v = neighbors[k];
+      const Weight w = weights[k];
+      degree += w;
+      const std::uint64_t end = lower[v];
+      if (end > offsets[v] && neighbors[end - 1] == x) {
+        weights[end - 1] += w;
+        merged = true;
+      } else {
+        neighbors[end] = x;
+        weights[end] = w;
+        lower[v] = end + 1;
+      }
+    }
+    upper[x] = lower[x];
+    max_weighted_degree = std::max(max_weighted_degree, degree);
   }
-  staged_.resize(out);
 
-  Graph g;
+  if (!merged) {
+    g.neighbors_ = std::move(neighbors);
+    g.edge_weights_ = std::move(weights);
+  } else {
+    // Rows now end at upper[x]; copy them without the merged slots.
+    std::uint64_t total = 0;
+    for (Vertex x = 0; x < n; ++x) total += upper[x] - offsets[x];
+    g.neighbors_.resize(total);
+    g.edge_weights_.resize(total);
+    std::uint64_t out = 0;
+    for (Vertex x = 0; x < n; ++x) {
+      const std::uint64_t begin = offsets[x];
+      offsets[x] = out;
+      std::copy(neighbors.begin() + begin, neighbors.begin() + upper[x],
+                g.neighbors_.begin() + out);
+      std::copy(weights.begin() + begin, weights.begin() + upper[x],
+                g.edge_weights_.begin() + out);
+      out += upper[x] - begin;
+    }
+    offsets[n] = out;
+  }
   g.vertex_weights_ = std::move(vertex_weights_);
   g.total_vertex_weight_ = total_vertex_weight;
   g.total_edge_weight_ = total_edge_weight;
-
-  std::vector<std::uint32_t> deg(n, 0);
-  for (const Edge& e : staged_) {
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  g.offsets_.assign(n + 1, 0);
-  for (Vertex v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
-  g.neighbors_.resize(staged_.size() * 2);
-  g.edge_weights_.resize(staged_.size() * 2);
-
-  std::vector<std::uint64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  // staged_ is sorted by (u, v) with u < v, so emitting u->v in order
-  // keeps each u's list sorted; v->u entries also land sorted because u
-  // increases monotonically across the scan.
-  for (const Edge& e : staged_) {
-    g.neighbors_[cursor[e.u]] = e.v;
-    g.edge_weights_[cursor[e.u]] = e.weight;
-    ++cursor[e.u];
-    g.neighbors_[cursor[e.v]] = e.u;
-    g.edge_weights_[cursor[e.v]] = e.weight;
-    ++cursor[e.v];
-  }
-  for (Vertex v = 0; v < n; ++v) {
-    g.max_weighted_degree_ =
-        std::max(g.max_weighted_degree_, g.weighted_degree(v));
-  }
+  g.max_weighted_degree_ = max_weighted_degree;
   staged_.clear();
   vertex_weights_.assign(n, 1);
   return g;
+}
+
+void GraphBuilder::reserve_edges(std::size_t count) {
+  staged_.reserve(staged_.size() + count);
 }
 
 }  // namespace gbis

@@ -40,6 +40,9 @@ class GraphBuilder {
   /// Sets the weight of a vertex (must be positive).
   void set_vertex_weight(Vertex v, Weight weight);
 
+  /// Makes room for `count` more add_edge calls without regrowing.
+  void reserve_edges(std::size_t count);
+
   /// Builds the immutable graph in O(|V| + |E|), whatever order the
   /// edges were added in. The builder is left empty. Throws
   /// std::invalid_argument ("total edge weight exceeds the 2^60
@@ -48,8 +51,8 @@ class GraphBuilder {
   Graph build();
 
  private:
-  // Each undirected edge staged once, normalized to u < v; sorted by
-  // counting and merged at build time.
+  // Each undirected edge staged once, normalized to u < v; sorted and
+  // merged straight into the CSR rows at build time.
   std::vector<Edge> staged_;
   std::vector<Weight> vertex_weights_;
   SelfLoops self_loops_;

@@ -41,6 +41,16 @@ class LineScanner {
     return *this;
   }
 
+  /// True when the next token is exactly "v" (a vertex-weight line),
+  /// which it then consumes. Otherwise it only skips spaces, failing at
+  /// the end of the line as every read there does.
+  bool take_v() {
+    if (!skip_space() || line_[pos_] != 'v') return false;
+    if (pos_ + 1 < line_.size() && !is_space(line_[pos_ + 1])) return false;
+    ++pos_;
+    return true;
+  }
+
   /// `>> integer`: an optional sign, then decimal digits up to the
   /// first non-digit. No digits stores 0 and fails; overflow stores the
   /// saturated value and fails; '-' on an unsigned target wraps.
@@ -54,6 +64,13 @@ class LineScanner {
     const Unsigned limit = negative && std::is_signed_v<Int> ? max + 1 : max;
     const std::size_t digits = pos_;
     Unsigned value = 0;
+    // digits10 digits cannot overflow Int: read them unchecked.
+    const std::size_t unchecked = std::min(
+        line_.size(), pos_ + std::numeric_limits<Int>::digits10);
+    for (; pos_ < unchecked && line_[pos_] >= '0' && line_[pos_] <= '9';
+         ++pos_) {
+      value = value * 10 + static_cast<Unsigned>(line_[pos_] - '0');
+    }
     bool overflow = false;
     for (; pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9';
          ++pos_) {
@@ -150,12 +167,16 @@ Graph read_edge_list(std::string_view text) {
   }
 
   GraphBuilder builder(static_cast<std::uint32_t>(n));
+  // An edge line takes at least four bytes, so a header cannot make the
+  // reader reserve more than the payload could hold.
+  builder.reserve_edges(
+      static_cast<std::size_t>(std::min<std::uint64_t>(m, text.size() / 4)));
   std::uint64_t edges_read = 0;
   while (next_content_line(content)) {
+    // One scan per line: the first token is "v", or the line is an edge
+    // read from the same position (skipped spaces skip again the same).
     LineScanner ls(content);
-    std::string_view first_tok;
-    ls >> first_tok;
-    if (first_tok == "v") {
+    if (ls.take_v()) {
       std::uint64_t v = 0;
       Weight w = 0;
       if (!(ls >> v >> w)) fail(line_no, "bad vertex-weight line");
@@ -172,9 +193,8 @@ Graph read_edge_list(std::string_view text) {
     }
     std::uint64_t u = 0, v = 0;
     Weight w = 1;
-    LineScanner es(content);
-    if (!(es >> u >> v)) fail(line_no, "bad edge line");
-    es >> w;  // optional
+    if (!(ls >> u >> v)) fail(line_no, "bad edge line");
+    ls >> w;  // optional
     if (u >= n || v >= n) {
       fail(line_no, "edge endpoint " + std::to_string(u >= n ? u : v) +
                         " out of range [0, " + std::to_string(n) + ")");
@@ -184,7 +204,7 @@ Graph read_edge_list(std::string_view text) {
       fail(line_no, "edge weight " + std::to_string(w) + " must be positive");
     }
     std::string_view garbage;
-    if (es >> garbage) fail(line_no, "trailing tokens on edge line");
+    if (ls >> garbage) fail(line_no, "trailing tokens on edge line");
     builder.add_edge(static_cast<Vertex>(u), static_cast<Vertex>(v), w);
     ++edges_read;
   }

@@ -174,9 +174,8 @@ Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
   }
 
   // Each swap is its two moves (what Bisection::swap does).
-  for (std::size_t i = 0; i < 2 * best_prefix_len; ++i) {
-    ws.apply_move(bisection, sequence[i]);
-  }
+  ws.apply_prefix(bisection, 2 * best_prefix_len, best_prefix_gain,
+                  "kl_refine");
   return best_prefix_gain;
 }
 

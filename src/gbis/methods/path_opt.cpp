@@ -16,7 +16,6 @@ Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
                       PathOptStats* stats, const PathOptOptions& options) {
   const Graph& g = bisection.graph();
   const std::size_t n = g.num_vertices();
-  const Weight cut_before = bisection.cut();
 
   // Virtual flip state: `sides` and `gains` track the partition as if
   // the sequence's flips had been applied. An unpicked vertex never
@@ -88,7 +87,7 @@ Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
 
   // Commit the best prefix for real; the virtual tail is simply
   // abandoned (the next pass starts over from the kept gains).
-  for (std::size_t k = 0; k < best_len; ++k) ws.apply_move(bisection, path[k]);
+  ws.apply_prefix(bisection, best_len, best_cumulative, "path_opt_refine");
 
   if (stats != nullptr) {
     stats->paths += path.empty() ? 0 : 1;
@@ -101,7 +100,7 @@ Weight workspace_pass(Bisection& bisection, RefineWorkspace& ws,
     sink->add(Counter::kPoFlipsApplied, best_len);
     sink->add(Counter::kDeadlinePolls, polls);
   }
-  return cut_before - bisection.cut();
+  return best_cumulative;
 }
 
 }  // namespace

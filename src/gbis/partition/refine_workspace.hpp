@@ -19,15 +19,21 @@ namespace gbis {
 class RefineWorkspace {
  public:
   /// A workspace for refining `bisection` (and only it, since the kept
-  /// gains follow the moves made through apply_move).
+  /// gains follow the moves made through apply_prefix).
   explicit RefineWorkspace(const Bisection& bisection);
 
   /// Starts a pass: empties the buckets and the sequence, and copies
   /// the kept gains into `gains`.
   void begin_pass();
 
-  /// Moves v in `bisection` for real and keeps the kept gains exact.
-  void apply_move(Bisection& bisection, Vertex v);
+  /// Moves the first `count` vertices of `sequence` in `bisection` for
+  /// real (a KL swap is its two moves) and keeps the kept gains exact.
+  /// The cut must then have fallen by exactly `predicted`, the prefix's
+  /// summed gains; when it has not, the gains have drifted from the
+  /// bisection, and this throws std::logic_error naming `refiner`
+  /// instead of letting the refine loop on gains it cannot realize.
+  void apply_prefix(Bisection& bisection, std::size_t count,
+                    Weight predicted, const char* refiner);
 
   GainBuckets buckets;
   std::vector<Weight> gains;        ///< the pass's virtual gains

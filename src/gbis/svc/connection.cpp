@@ -28,14 +28,15 @@ bool Connection::read_events(std::vector<ConnEvent>& events,
   for (;;) {
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
-      std::size_t begin = 0;
-      for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-        if (chunk[i] != '\n') continue;
+      const char* begin = chunk;
+      const char* const end = chunk + n;
+      while (const void* found = std::memchr(begin, '\n', end - begin)) {
+        const char* const newline = static_cast<const char*>(found);
         if (discarding_) {
           // Tail of an overlong line: drop it and resync.
           discarding_ = false;
         } else {
-          read_buffer_.append(chunk + begin, i - begin);
+          read_buffer_.append(begin, newline - begin);
           if (read_buffer_.size() > max_line_bytes) {
             // A line can overrun within one chunk, not just across
             // reads — the bound applies either way.
@@ -52,10 +53,10 @@ bool Connection::read_events(std::vector<ConnEvent>& events,
             read_buffer_.clear();
           }
         }
-        begin = i + 1;
+        begin = newline + 1;
       }
       if (!discarding_) {
-        read_buffer_.append(chunk + begin, static_cast<std::size_t>(n) - begin);
+        read_buffer_.append(begin, end - begin);
         if (read_buffer_.size() > max_line_bytes) {
           events.push_back(ConnEvent{ConnEvent::Kind::kOverlong, {}});
           read_buffer_.clear();

@@ -85,24 +85,25 @@ bool parse_mutate_fields(const JsonFieldIndex& fields, SvcRequest& out,
 bool parse_request(const std::string& line, SvcRequest& out,
                    std::string& error) {
   out = SvcRequest{};
-  json_parse_string(line, "id", out.id);  // best-effort, for correlation
-  if (line.empty() || line.find_first_not_of(" \t") == std::string::npos) {
-    error = "parse: empty request";
+  // One strict walk checks the line's structure and finds every member
+  // read below. On a socket, arbitrary bytes arrive here, and a lenient
+  // scan of a malformed line is how fields get silently misread (see
+  // util/json_lite), so nothing but the id is read from a line that
+  // fails the walk.
+  const JsonFieldIndex fields(line, JsonWalk::kStrict);
+  if (!fields.valid()) {
+    json_parse_string(line, "id", out.id);  // best-effort, for correlation
+    const std::size_t first = line.find_first_not_of(" \t");
+    if (first == std::string::npos) {
+      error = "parse: empty request";
+    } else if (line[first] != '{') {
+      error = "parse: request is not a JSON object";
+    } else {
+      error = "parse: malformed request line";
+    }
     return false;
   }
-  if (line[line.find_first_not_of(" \t")] != '{') {
-    error = "parse: request is not a JSON object";
-    return false;
-  }
-  // Structural gate before any field scan: on a socket, arbitrary
-  // bytes arrive here, and a lenient scan of a malformed line is how
-  // fields get silently misread (see util/json_lite).
-  if (!json_object_valid(line)) {
-    error = "parse: malformed request line";
-    return false;
-  }
-  // One walk over the line finds every member read below.
-  const JsonFieldIndex fields(line);
+  fields.parse_string("id", out.id);  // for correlation
   std::string op;
   if (fields.parse_string("op", op)) {
     if (op == "solve") {

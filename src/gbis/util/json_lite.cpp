@@ -1,5 +1,6 @@
 #include "gbis/util/json_lite.hpp"
 
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,37 @@ int hex_digit(char c) {
   return -1;
 }
 
+/// The first index in [i, line.size()) whose byte ends a run of plain
+/// string bytes: '"', '\\' or a control byte (< 0x20); line.size() when
+/// there is none. Eight bytes at a time: each test below flags a
+/// matching byte, and may also flag bytes after a match (a borrow runs
+/// upward), never before one, so the lowest flag is the first match.
+std::size_t find_string_stop(const std::string& line, std::size_t i) {
+  const std::size_t size = line.size();
+  if constexpr (std::endian::native == std::endian::little) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ull;
+    for (; i + 8 <= size; i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, line.data() + i, 8);
+      const std::uint64_t quote = word ^ (kOnes * '"');
+      const std::uint64_t slash = word ^ (kOnes * '\\');
+      const std::uint64_t stops = (((word - kOnes * 0x20) & ~word) |
+                                   ((quote - kOnes) & ~quote) |
+                                   ((slash - kOnes) & ~slash)) &
+                                  kHighs;
+      if (stops != 0) {
+        return i + static_cast<std::size_t>(std::countr_zero(stops)) / 8;
+      }
+    }
+  }
+  for (; i < size; ++i) {
+    const auto c = static_cast<unsigned char>(line[i]);
+    if (c == '"' || c == '\\' || c < 0x20) return i;
+  }
+  return size;
+}
+
 /// Consumes a string token starting at the opening quote; returns the
 /// index one past the closing quote, or npos when the token is
 /// unterminated, contains a raw control character, or carries a \u
@@ -37,26 +69,24 @@ int hex_digit(char c) {
 /// legal escape set when a string is actually decoded.
 std::size_t skip_string_token(const std::string& line, std::size_t i) {
   ++i;  // opening quote
-  while (i < line.size()) {
+  for (;;) {
+    i = find_string_stop(line, i);
+    if (i >= line.size()) return npos;
     const unsigned char c = static_cast<unsigned char>(line[i]);
     if (c == '"') return i + 1;
     if (c < 0x20) return npos;
-    if (c == '\\') {
-      if (i + 1 >= line.size()) return npos;
-      if (line[i + 1] == 'u') {
-        if (i + 5 >= line.size()) return npos;
-        for (std::size_t d = i + 2; d < i + 6; ++d) {
-          if (hex_digit(line[d]) < 0) return npos;
-        }
-        i += 6;
-      } else {
-        i += 2;
+    // A backslash.
+    if (i + 1 >= line.size()) return npos;
+    if (line[i + 1] == 'u') {
+      if (i + 5 >= line.size()) return npos;
+      for (std::size_t d = i + 2; d < i + 6; ++d) {
+        if (hex_digit(line[d]) < 0) return npos;
       }
+      i += 6;
     } else {
-      ++i;
+      i += 2;
     }
   }
-  return npos;
 }
 
 bool is_scalar_char(char c) {
@@ -265,16 +295,18 @@ bool parse_string_at(const std::string& line, std::size_t i,
   ++i;
   std::string result;
   while (i < line.size()) {
+    // Plain bytes up to the next quote, backslash or control byte are
+    // copied as one run.
+    const std::size_t stop = find_string_stop(line, i);
+    result.append(line, i, stop - i);
+    i = stop;
+    if (i >= line.size()) break;
     const unsigned char c = static_cast<unsigned char>(line[i]);
     if (c == '"') {
       out = std::move(result);
       return true;
     }
     if (c < 0x20) return false;  // raw control character
-    if (c != '\\') {
-      result += line[i++];
-      continue;
-    }
     if (i + 1 >= line.size()) return false;  // dangling backslash
     const char esc = line[i + 1];
     switch (esc) {
@@ -458,12 +490,15 @@ JsonEnumStatus json_parse_enum(const std::string& line,
   return parse_enum_at(line, json_find_value(line, key), allowed, count, out);
 }
 
-JsonFieldIndex::JsonFieldIndex(const std::string& line) : line_(line) {
-  walk_members(line, /*strict=*/false,
-               [&](std::string_view key, std::size_t value) {
-                 members_.emplace_back(key, value);
-                 return false;
-               });
+JsonFieldIndex::JsonFieldIndex(const std::string& line, JsonWalk walk)
+    : line_(line) {
+  const bool strict = walk == JsonWalk::kStrict;
+  const std::size_t end =
+      walk_members(line, strict, [&](std::string_view key, std::size_t value) {
+        members_.emplace_back(key, value);
+        return false;
+      });
+  valid_ = strict && end != npos;
 }
 
 std::size_t JsonFieldIndex::find(std::string_view key) const {

@@ -21,7 +21,8 @@
 // The scanner is lenient about *scalar* token contents (any bare
 // token of [0-9A-Za-z .+-] is skipped) so that historical journal
 // lines keep parsing; json_object_valid is the strict structural
-// check the socket-facing protocol layer runs first.
+// check, which the socket-facing protocol layer runs in the same walk
+// that indexes a request (JsonWalk::kStrict).
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,9 @@ std::size_t json_find_value(const std::string& line, const std::string& key);
 /// must carry four hex digits), strictly-grammatical numbers,
 /// true/false/null, or nested objects/arrays (depth-capped), and
 /// nothing but whitespace after the closing brace. The socket protocol
-/// runs this before any field scan so malformed input fails loudly
-/// instead of misparsing.
+/// reads no field but the id from a line that fails it (through a
+/// strict JsonFieldIndex), so malformed input fails loudly instead of
+/// misparsing.
 bool json_object_valid(const std::string& line);
 
 /// Parses a string field. Handles the full JSON escape set
@@ -107,18 +109,31 @@ JsonEnumStatus json_parse_enum(const std::string& line,
                                const char* const* allowed, std::size_t count,
                                std::string& out);
 
+/// How JsonFieldIndex walks its line.
+enum class JsonWalk : std::uint8_t {
+  kLenient = 0,  ///< json_find_value's scalar rules
+  kStrict,       ///< json_object_valid's rules, checked in the same walk
+};
+
 /// The top-level members of one line, found in one walk under
 /// json_find_value's rules: the first occurrence of a key wins, keys
 /// compare as raw bytes, and the walk stops where the line breaks, so
 /// find(key) == json_find_value(line, key) for every key. A reader
 /// that looks up many keys (svc/protocol's parse_request) walks a long
-/// line once instead of once per key. Each parse_* member returns what
-/// the json_parse_* function of the same name returns. The index keeps
-/// a reference to `line`, which must outlive it.
+/// line once instead of once per key. A strict walk also checks the
+/// whole line as json_object_valid does, and valid() reports it; on a
+/// valid line the two walks find the same members. Each parse_* member
+/// returns what the json_parse_* function of the same name returns.
+/// The index keeps a reference to `line`, which must outlive it.
 class JsonFieldIndex {
  public:
-  explicit JsonFieldIndex(const std::string& line);
-  explicit JsonFieldIndex(std::string&&) = delete;
+  explicit JsonFieldIndex(const std::string& line,
+                          JsonWalk walk = JsonWalk::kLenient);
+  explicit JsonFieldIndex(std::string&&, JsonWalk = JsonWalk::kLenient) =
+      delete;
+
+  /// json_object_valid(line) for a strict walk; false for a lenient one.
+  bool valid() const { return valid_; }
 
   /// Index of `key`'s raw value token, or std::string::npos.
   std::size_t find(std::string_view key) const;
@@ -140,6 +155,7 @@ class JsonFieldIndex {
   const std::string& line_;
   /// (key bytes, value index) in line order, duplicates included.
   std::vector<std::pair<std::string_view, std::size_t>> members_;
+  bool valid_ = false;
 };
 
 /// 16-digit zero-padded lower-case hex (the fingerprint wire format).

@@ -333,6 +333,47 @@ TEST(GraphBuilder, CountingBuildMatchesTheComparisonSort) {
   EXPECT_THROW(over.build(), std::invalid_argument);
 }
 
+TEST(GraphBuilder, SweepBuildMatchesTheComparisonSortOnStarsAndDoubledEdges) {
+  Rng rng(31);
+  // A star with 10^5 leaves, its edges dealt in shuffled order and from
+  // either end: one row takes every edge.
+  BuildInput star;
+  star.n = 100001;
+  for (Vertex leaf = 1; leaf < star.n; ++leaf) {
+    star.added.push_back(leaf % 2 == 0 ? Edge{0, leaf, 1} : Edge{leaf, 0, 2});
+  }
+  rng.shuffle(star.added);
+  star.vertex_weights.assign(star.n, 1);
+  expect_matches_reference(stage(star).build(), star);
+
+  // Contraction style: every edge added in both directions, so every
+  // edge merges, plus sorted, shuffled and repeated runs.
+  for (const bool shuffled : {false, true}) {
+    BuildInput doubled;
+    doubled.n = 3000;
+    for (std::uint32_t k = 0; k < 9000; ++k) {
+      const auto u = static_cast<Vertex>(rng.below(doubled.n));
+      const auto v = static_cast<Vertex>(rng.below(doubled.n));
+      const Weight w = rng.range(1, 7);
+      doubled.added.push_back({u, v, w});
+      doubled.added.push_back({v, u, w});
+    }
+    if (shuffled) {
+      rng.shuffle(doubled.added);
+    } else {
+      std::sort(doubled.added.begin(), doubled.added.end(),
+                [](const Edge& a, const Edge& b) {
+                  return std::min(a.u, a.v) != std::min(b.u, b.v)
+                             ? std::min(a.u, a.v) < std::min(b.u, b.v)
+                             : std::max(a.u, a.v) < std::max(b.u, b.v);
+                });
+    }
+    doubled.vertex_weights.assign(doubled.n, 1);
+    SCOPED_TRACE(shuffled ? "shuffled" : "sorted");
+    expect_matches_reference(stage(doubled).build(), doubled);
+  }
+}
+
 TEST(Ops, ConnectedComponentsOnUnion) {
   GraphBuilder b(6);
   b.add_edge(0, 1);

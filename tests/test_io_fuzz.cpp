@@ -3,6 +3,7 @@
 // crash, hang, or return a structurally invalid object. The edge-list
 // reader is also checked differentially against the istream reader it
 // replaced, kept here as the reference.
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -467,6 +468,50 @@ TEST_P(EdgeListDifferential, MatchesTheIstreamReader) {
 // 4 x 25000 = 100k cases.
 INSTANTIATE_TEST_SUITE_P(Seeds, EdgeListDifferential,
                          testing::Values(11u, 12u, 13u, 14u));
+
+TEST(EdgeListDifferential, LargeGeneratedListsMatchTheIstreamReader) {
+  // 10^4 to 10^5 edges: sorted and shuffled, weighted, with parallel
+  // edges, CRLF, comment, blank and `v` lines.
+  Rng rng(77);
+  for (const std::uint64_t m : {10000u, 30000u, 100000u}) {
+    for (int variant = 0; variant < 4; ++variant) {
+      const std::uint64_t n = 2 + m / 3;
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+      for (std::uint64_t e = 0; e < m; ++e) {
+        const std::uint64_t u = rng.below(n);
+        const std::uint64_t v = (u + 1 + rng.below(n - 1)) % n;
+        pairs.emplace_back(std::min(u, v), std::max(u, v));
+        if (variant == 2 && e + 1 < m && rng.below(4) == 0) {
+          pairs.emplace_back(v, u);  // a parallel edge, reversed
+          ++e;
+        }
+      }
+      if (variant % 2 == 0) {
+        std::sort(pairs.begin(), pairs.end());
+      } else {
+        rng.shuffle(pairs);
+      }
+      const std::string eol = variant == 3 ? "\r\n" : "\n";
+      std::string text = "# generated\n" + std::to_string(n) + " " +
+                         std::to_string(pairs.size()) + eol;
+      for (std::uint64_t v = 0; v < n; v += 97) {
+        text += "v " + std::to_string(v) + " " + std::to_string(2 + v % 5) + eol;
+      }
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        if (k % 1000 == 0) text += "# block\n\t\n";
+        text += std::to_string(pairs[k].first) + (k % 7 == 0 ? "\t" : " ") +
+                std::to_string(pairs[k].second);
+        if (variant >= 1 && k % 3 == 0) {
+          text += " " + std::to_string(1 + rng.below(1000));
+        }
+        text += eol;
+      }
+      SCOPED_TRACE("m=" + std::to_string(m) + " variant " +
+                   std::to_string(variant));
+      EXPECT_TRUE(read_both(text).starts_with("graph"));
+    }
+  }
+}
 
 // --- Crash-freedom fuzzing of every reader --------------------------------
 

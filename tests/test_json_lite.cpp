@@ -5,6 +5,7 @@
 // wraparound accepting negative budgets, and \u escapes silently
 // truncating or embedding NUL bytes.
 #include <chrono>
+#include <cstring>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -576,6 +577,167 @@ TEST(JsonFieldIndex, MatchesTheFreeFunctionsOnMutatedRequests) {
     }
   }
   EXPECT_GT(found, 20000);  // the corpus reaches its keys
+}
+
+/// The front of parse_request before the strict one-walk index: a
+/// lenient id search, then the structural gate. Returns the error, or
+/// "" when the line passes the gate.
+std::string reference_front(const std::string& line, std::string& id) {
+  json_parse_string(line, "id", id);
+  const std::size_t first = line.find_first_not_of(" \t");
+  if (first == std::string::npos) return "parse: empty request";
+  if (line[first] != '{') return "parse: request is not a JSON object";
+  if (!json_object_valid(line)) return "parse: malformed request line";
+  return "";
+}
+
+TEST(JsonFieldIndex, StrictWalkMatchesTheGateAndTheLenientIndex) {
+  Rng rng(2027);
+  int valid = 0, invalid = 0;
+  for (int c = 0; c < 20000; ++c) {
+    std::string line = mutated_request(rng);
+    if (c % 50 == 0) line = c % 100 == 0 ? "" : " \t";
+    if (c % 50 == 1) line = "  [1]";
+    SCOPED_TRACE(line);
+    const JsonFieldIndex strict(line, JsonWalk::kStrict);
+    const JsonFieldIndex lenient(line);
+    ASSERT_EQ(strict.valid(), json_object_valid(line));
+    EXPECT_FALSE(lenient.valid());
+    ++(strict.valid() ? valid : invalid);
+    if (strict.valid()) {
+      for (const char* key : kRequestKeys) {
+        EXPECT_EQ(strict.find(key), lenient.find(key)) << key;
+      }
+      for (const char* key : {"x", "y", "z"}) {
+        EXPECT_EQ(strict.find(key), lenient.find(key)) << key;
+      }
+    }
+    std::string expected_id;
+    const std::string front = reference_front(line, expected_id);
+    SvcRequest request;
+    std::string error;
+    const bool parsed = parse_request(line, request, error);
+    EXPECT_EQ(request.id, expected_id);
+    if (!front.empty()) {
+      EXPECT_FALSE(parsed);
+      EXPECT_EQ(error, front);
+    } else {
+      EXPECT_TRUE(parsed || error.find("malformed") == std::string::npos);
+    }
+  }
+  EXPECT_GT(valid, 2000);
+  EXPECT_GT(invalid, 2000);
+}
+
+/// json_parse_string's decoding one byte at a time, as it was before
+/// plain runs were copied in bulk.
+bool reference_unescape(const std::string& token, std::string& out) {
+  std::size_t i = 1;
+  std::string result;
+  auto hex4 = [&](std::size_t at, std::uint32_t& v) {
+    if (at + 4 > token.size()) return false;
+    v = 0;
+    for (std::size_t d = at; d < at + 4; ++d) {
+      const char c = token[d];
+      int x = c >= '0' && c <= '9'   ? c - '0'
+              : c >= 'a' && c <= 'f' ? c - 'a' + 10
+              : c >= 'A' && c <= 'F' ? c - 'A' + 10
+                                     : -1;
+      if (x < 0) return false;
+      v = v << 4 | static_cast<std::uint32_t>(x);
+    }
+    return true;
+  };
+  while (i < token.size()) {
+    const auto c = static_cast<unsigned char>(token[i]);
+    if (c == '"') {
+      out = result;
+      return true;
+    }
+    if (c < 0x20) return false;
+    if (c != '\\') {
+      result += token[i++];
+      continue;
+    }
+    if (i + 1 >= token.size()) return false;
+    const char e = token[i + 1];
+    const char* const kSimple = "\"\\/bfnrt";
+    const char* const kDecoded = "\"\\/\b\f\n\r\t";
+    if (const char* hit = std::strchr(kSimple, e); hit != nullptr && e != 0) {
+      result += kDecoded[hit - kSimple];
+      i += 2;
+      continue;
+    }
+    if (e != 'u') return false;
+    std::uint32_t cp = 0;
+    if (!hex4(i + 2, cp)) return false;
+    i += 6;
+    if (cp >= 0xDC00 && cp <= 0xDFFF) return false;
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      std::uint32_t low = 0;
+      if (i + 1 >= token.size() || token[i] != '\\' || token[i + 1] != 'u' ||
+          !hex4(i + 2, low) || low < 0xDC00 || low > 0xDFFF) {
+        return false;
+      }
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+      i += 6;
+    }
+    if (cp < 0x80) {
+      result += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      result += static_cast<char>(0xC0 | (cp >> 6));
+      result += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      result += static_cast<char>(0xE0 | (cp >> 12));
+      result += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      result += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      result += static_cast<char>(0xF0 | (cp >> 18));
+      result += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      result += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      result += static_cast<char>(0x80 | (cp & 0x3F));
+    }
+  }
+  return false;
+}
+
+TEST(JsonStrings, BulkUnescapeMatchesAByteLoopAtEveryWordOffset) {
+  // Every escape, surrogate pairs, lone surrogates, bad escapes, raw
+  // control bytes, non-ASCII bytes and the closing quote, each placed at
+  // every offset within an 8-byte word and after a run of 0-17 plain
+  // bytes.
+  const std::string kPieces[] = {
+      "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t",
+      "\\u0041", "\\u00e9", "\\u20AC", "\\uD83D\\uDE00", "\\uD83D",
+      "\\uDE00", "\\uD83Dx", "\\uZZZZ", "\\u12", "\\q", "\\",
+      std::string(1, '\0'), "\x01", "\x1f", "\t", "\n", " ", "\x7f",
+      "\x80", "\xff", "\"", "\xc3\xa9", "a\"b",
+  };
+  int decoded = 0, rejected = 0;
+  for (const std::string& piece : kPieces) {
+    for (std::size_t lead = 0; lead < 18; ++lead) {
+      for (std::size_t pad = 0; pad < 8; ++pad) {
+        for (const bool closed : {true, false}) {
+          std::string line = std::string(pad, ' ') + "{\"s\":\"" +
+                             std::string(lead, 'a') + piece + "tail";
+          if (closed) line += "\"}";
+          const std::string token = line.substr(line.find(":") + 1);
+          std::string expected = "sentinel", actual = "sentinel";
+          const bool ok = reference_unescape(token, expected);
+          SCOPED_TRACE(testing::PrintToString(line));
+          ASSERT_EQ(json_parse_string(line, "s", actual), ok);
+          ASSERT_EQ(actual, expected);
+          const JsonFieldIndex fields(line, JsonWalk::kStrict);
+          std::string via_index = "sentinel";
+          ASSERT_EQ(fields.parse_string("s", via_index), ok);
+          ASSERT_EQ(via_index, expected);
+          ++(ok ? decoded : rejected);
+        }
+      }
+    }
+  }
+  EXPECT_GT(decoded, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 }  // namespace

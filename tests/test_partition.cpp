@@ -1,6 +1,7 @@
 // Unit and property tests for the partition substrate: Bisection
 // bookkeeping, gain arithmetic, and balance repair.
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "gbis/partition/bisection.hpp"
 #include "gbis/partition/buckets.hpp"
 #include "gbis/partition/gains.hpp"
+#include "gbis/partition/refine_workspace.hpp"
 #include "gbis/rng/rng.hpp"
 
 namespace gbis {
@@ -448,6 +450,54 @@ TEST(GainBuckets, DenseUpToSixteenHeadsPerVertexOrTheFloor) {
   EXPECT_EQ(from_graph.max_gain_present(0), 2);
   EXPECT_EQ(from_graph.next_below(0, 2), -2);
   EXPECT_EQ(from_graph.max_gain_present(1), -1);
+}
+
+// --- RefineWorkspace: a prefix's predicted gain is the cut's fall ---------
+
+/// The path 0-1-2-3 cut between 1 and 2.
+Graph path4() {
+  GraphBuilder b(4);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  return b.build();
+}
+
+TEST(RefineWorkspace, PrefixFallsByItsPredictedGain) {
+  const Graph g = path4();
+  Bisection bisection(g, {0, 0, 1, 1});
+  RefineWorkspace ws(bisection);
+  ws.begin_pass();
+  // Swap 1 and 2, a KL pair across the cut: g1 + g2 - 2w(1, 2) = -2.
+  ws.sequence = {1, 2};
+  ws.apply_prefix(bisection, 2, ws.gains[1] + ws.gains[2] - 2, "kl_refine");
+  EXPECT_EQ(bisection.cut(), 3);
+  // Then move 2 back, with the gain the kept gains now give it.
+  ws.begin_pass();
+  ws.sequence = {2};
+  ASSERT_EQ(ws.gains[2], 2);
+  ws.apply_prefix(bisection, 1, ws.gains[2], "fm_refine");
+  EXPECT_EQ(bisection.cut(), 1);
+}
+
+TEST(RefineWorkspace, StaleGainsThrowInsteadOfLooping) {
+  const Graph g = path4();
+  for (const char* refiner : {"kl_refine", "fm_refine"}) {
+    Bisection bisection(g, {0, 0, 1, 1});
+    RefineWorkspace ws(bisection);
+    bisection.move(1);  // behind the workspace's back: 0's gain is now +1
+    ws.begin_pass();
+    ASSERT_EQ(ws.gains[0], -1);  // the stale gain
+    ws.sequence = {0};
+    try {
+      ws.apply_prefix(bisection, 1, ws.gains[0], refiner);
+      FAIL() << "a stale gain was applied silently";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string(refiner) +
+                    ": a pass predicted a gain of -1 but the cut fell by 1");
+    }
+  }
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "gbis/partition/bisection.hpp"
 #include "gbis/rng/rng.hpp"
 #include "gbis/svc/cache.hpp"
+#include "gbis/svc/connection.hpp"
 #include "gbis/svc/fingerprint.hpp"
 #include "gbis/svc/listener.hpp"
 #include "gbis/svc/policy.hpp"
@@ -3151,6 +3153,141 @@ TEST(Service, FlightFileArmsTheSignalDump) {
   EXPECT_NE(dump.find("\"trace\":\"" + to_hex16(splitmix64_at(0, 0)) + "\""),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+// --- Connection line framing -------------------------------------------
+
+constexpr const char* kOverlongMark = "<overlong>";
+
+/// read_events' framing one byte at a time, as it was before line ends
+/// were found with memchr. Framing does not depend on how the bytes
+/// were chunked, so this runs over the whole stream.
+std::vector<std::string> reference_frames(const std::string& stream,
+                                          std::size_t max_line_bytes,
+                                          bool eof) {
+  std::vector<std::string> out;
+  std::string buffer;
+  bool discarding = false;
+  for (const char c : stream) {
+    if (c == '\n') {
+      if (!discarding) {
+        if (!buffer.empty() && buffer.back() == '\r') buffer.pop_back();
+        out.push_back(buffer);
+      }
+      discarding = false;
+      buffer.clear();
+    } else if (!discarding) {
+      buffer += c;
+      if (buffer.size() > max_line_bytes) {
+        out.push_back(kOverlongMark);
+        buffer.clear();
+        discarding = true;
+      }
+    }
+  }
+  if (eof && !discarding && !buffer.empty()) out.push_back(buffer);
+  return out;
+}
+
+/// Sends `stream` over a socketpair in writes of the given sizes
+/// (draining after each when `drain_each`, else once at the end, so
+/// reads then span several writes), then ends it when `eof`; returns
+/// what Connection::read_events framed.
+std::vector<std::string> socket_frames(const std::string& stream,
+                                       const std::vector<std::size_t>& writes,
+                                       std::size_t max_line_bytes, bool eof,
+                                       bool drain_each) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const int size = 1 << 20;
+  ::setsockopt(fds[0], SOL_SOCKET, SO_SNDBUF, &size, sizeof size);
+  ::setsockopt(fds[1], SOL_SOCKET, SO_RCVBUF, &size, sizeof size);
+  ::fcntl(fds[1], F_SETFL, ::fcntl(fds[1], F_GETFL) | O_NONBLOCK);
+  Connection conn(fds[1], 1);
+  std::vector<ConnEvent> events;
+  std::size_t at = 0;
+  for (std::size_t k = 0; at < stream.size(); ++k) {
+    const std::size_t len =
+        std::min(stream.size() - at, writes.empty() ? stream.size()
+                                                    : writes[k % writes.size()]);
+    std::size_t sent = 0;
+    while (sent < len) {
+      const ssize_t n = ::send(fds[0], stream.data() + at + sent, len - sent, 0);
+      EXPECT_GT(n, 0);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+    at += len;
+    if (drain_each) {
+      EXPECT_TRUE(conn.read_events(events, max_line_bytes));
+    }
+  }
+  if (eof) {
+    ::shutdown(fds[0], SHUT_WR);
+    EXPECT_FALSE(conn.read_events(events, max_line_bytes));
+  } else {
+    EXPECT_TRUE(conn.read_events(events, max_line_bytes));
+  }
+  ::close(fds[0]);
+  std::vector<std::string> out;
+  for (const ConnEvent& e : events) {
+    out.push_back(e.kind == ConnEvent::Kind::kOverlong ? kOverlongMark
+                                                       : e.line);
+  }
+  return out;
+}
+
+TEST(ConnectionFraming, MatchesAByteLoopOverGeneratedChunkings) {
+  const std::size_t kMax = 100000;
+  const std::string big(150000, 'x');
+  const std::string at_max(kMax, 'y');
+  struct Case {
+    const char* name;
+    std::string stream;
+    std::vector<std::size_t> writes;
+    bool eof;
+  };
+  const std::vector<Case> cases = {
+      {"line over 64 KiB reads", "a\n" + big.substr(0, 90000) + "\nb\n", {},
+       false},
+      {"crlf split at a chunk edge", "abc\r\ndef\r\n\r\nghi\r", {4, 5, 1, 3},
+       true},
+      {"exactly max", at_max + "\n" + at_max + "\r\n", {65536}, false},
+      {"a byte longer", at_max + "z\n" + "ok\n", {70000, 30001, 1}, false},
+      {"overlong then good", big + "\nnext\r\n", {60000}, false},
+      {"overlong tail at eof", "x\n" + big, {50000}, true},
+      {"unterminated tail at eof", "one\ntwo\r", {1}, true},
+  };
+  for (const Case& c : cases) {
+    for (const bool drain_each : {true, false}) {
+      SCOPED_TRACE(std::string(c.name) + (drain_each ? " drained" : ""));
+      EXPECT_EQ(socket_frames(c.stream, c.writes, kMax, c.eof, drain_each),
+                reference_frames(c.stream, kMax, c.eof));
+    }
+  }
+
+  // Generated streams: short and long lines, stray CRs, empty lines,
+  // some over a small bound, cut into random writes.
+  Rng rng(41);
+  for (int round = 0; round < 40; ++round) {
+    std::string stream;
+    const std::uint64_t lines = 1 + rng.below(30);
+    for (std::uint64_t i = 0; i < lines; ++i) {
+      const std::uint64_t len = rng.below(4) == 0 ? rng.below(5000) : rng.below(40);
+      for (std::uint64_t b = 0; b < len; ++b) {
+        stream += rng.below(50) == 0 ? '\r' : static_cast<char>('a' + rng.below(26));
+      }
+      if (rng.below(3) == 0) stream += '\r';
+      if (i + 1 < lines || rng.below(2) == 0) stream += '\n';
+    }
+    std::vector<std::size_t> writes;
+    for (int k = 0; k < 8; ++k) writes.push_back(1 + rng.below(3000));
+    const std::size_t max = 1 + rng.below(3000);
+    const bool eof = rng.below(2) == 0;
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_EQ(socket_frames(stream, writes, max, eof, rng.below(2) == 0),
+              reference_frames(stream, max, eof));
+  }
 }
 
 }  // namespace

@@ -87,23 +87,34 @@ Graph GraphBuilder::build() {
   }
   std::vector<std::uint64_t> lower(offsets.begin(), offsets.end() - 1);
 
-  // One sweep in ascending x sorts and merges both parts. When the
-  // sweep reaches x, every u < x has dealt its edges (u, x) into x's
+  // One sweep in ascending x sorts, merges and packs both parts. When
+  // the sweep reaches x, every u < x has dealt its edges (u, x) into x's
   // lower part, in ascending u and merged, so that part is final; it is
   // dealt back into each u's upper part, which then fills in ascending
   // x, right after u's own lower part. Then x's dealt upper edges (x, v)
   // go into each v's lower part, a repeat of the last one merging into
-  // it. Every weighted degree is summed on the way.
-  bool merged = false;
+  // it. Rows are packed on the way: x's lower part moves left to `out`,
+  // past the slots earlier rows lost to merges, and its upper part is
+  // dealt back right after it. The packed rows end at `out`, never past
+  // x's old start, and x's lower part is copied left in ascending order,
+  // so nothing is overwritten before it is read. Every weighted degree
+  // is summed on the way.
+  std::uint64_t out = 0;
   Weight max_weighted_degree = 0;
   for (Vertex x = 0; x < n; ++x) {
     Weight degree = 0;
-    for (std::uint64_t k = offsets[x]; k < lower[x]; ++k) {
-      const std::uint64_t slot = upper[neighbors[k]]++;
+    std::uint64_t packed = out;
+    for (std::uint64_t k = offsets[x]; k < lower[x]; ++k, ++packed) {
+      const Vertex u = neighbors[k];
+      const Weight w = weights[k];
+      const std::uint64_t slot = upper[u]++;
       neighbors[slot] = x;
-      weights[slot] = weights[k];
-      degree += weights[k];
+      weights[slot] = w;
+      neighbors[packed] = u;
+      weights[packed] = w;
+      degree += w;
     }
+    std::uint64_t distinct_upper = 0;
     for (std::uint64_t k = upper[x]; k < offsets[x + std::size_t{1}]; ++k) {
       const Vertex v = neighbors[k];
       const Weight w = weights[k];
@@ -111,38 +122,25 @@ Graph GraphBuilder::build() {
       const std::uint64_t end = lower[v];
       if (end > offsets[v] && neighbors[end - 1] == x) {
         weights[end - 1] += w;
-        merged = true;
       } else {
         neighbors[end] = x;
         weights[end] = w;
         lower[v] = end + 1;
+        ++distinct_upper;
       }
     }
-    upper[x] = lower[x];
+    offsets[x] = out;
+    upper[x] = packed;
+    out = packed + distinct_upper;
     max_weighted_degree = std::max(max_weighted_degree, degree);
   }
+  // A build that merged keeps the unmerged length as spare capacity.
+  offsets[n] = out;
+  neighbors.resize(out);
+  weights.resize(out);
 
-  if (!merged) {
-    g.neighbors_ = std::move(neighbors);
-    g.edge_weights_ = std::move(weights);
-  } else {
-    // Rows now end at upper[x]; copy them without the merged slots.
-    std::uint64_t total = 0;
-    for (Vertex x = 0; x < n; ++x) total += upper[x] - offsets[x];
-    g.neighbors_.resize(total);
-    g.edge_weights_.resize(total);
-    std::uint64_t out = 0;
-    for (Vertex x = 0; x < n; ++x) {
-      const std::uint64_t begin = offsets[x];
-      offsets[x] = out;
-      std::copy(neighbors.begin() + begin, neighbors.begin() + upper[x],
-                g.neighbors_.begin() + out);
-      std::copy(weights.begin() + begin, weights.begin() + upper[x],
-                g.edge_weights_.begin() + out);
-      out += upper[x] - begin;
-    }
-    offsets[n] = out;
-  }
+  g.neighbors_ = std::move(neighbors);
+  g.edge_weights_ = std::move(weights);
   g.vertex_weights_ = std::move(vertex_weights_);
   g.total_vertex_weight_ = total_vertex_weight;
   g.total_edge_weight_ = total_edge_weight;

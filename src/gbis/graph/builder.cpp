@@ -134,10 +134,18 @@ Graph GraphBuilder::build() {
     out = packed + distinct_upper;
     max_weighted_degree = std::max(max_weighted_degree, degree);
   }
-  // A build that merged keeps the unmerged length as spare capacity.
   offsets[n] = out;
   neighbors.resize(out);
   weights.resize(out);
+  // Merged slots stay behind as spare capacity. Past a quarter of the
+  // rows' length it is given back, so a graph (one in the graph store,
+  // which counts sizes) never holds much more than its size. The staged
+  // edges go first, so the copy does not raise the build's peak.
+  if (neighbors.capacity() - out > out / 4) {
+    staged_ = std::vector<Edge>();
+    neighbors.shrink_to_fit();
+    weights.shrink_to_fit();
+  }
 
   g.neighbors_ = std::move(neighbors);
   g.edge_weights_ = std::move(weights);

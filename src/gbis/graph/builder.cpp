@@ -138,9 +138,9 @@ Graph GraphBuilder::build() {
   neighbors.resize(out);
   weights.resize(out);
   // Merged slots stay behind as spare capacity. Past a quarter of the
-  // rows' length it is given back, so a graph (one in the graph store,
-  // which counts sizes) never holds much more than its size. The staged
-  // edges go first, so the copy does not raise the build's peak.
+  // rows' length it is given back, so no graph holds more than a quarter
+  // beyond its size (the graph store counts sizes). The staged edges go
+  // first, so the copy does not raise the build's peak.
   if (neighbors.capacity() - out > out / 4) {
     staged_ = std::vector<Edge>();
     neighbors.shrink_to_fit();
